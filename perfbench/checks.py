@@ -35,6 +35,12 @@ def subset_sums(u) -> list[int]:
     return sums
 
 
+def capped(caps, rank: int) -> list[int]:
+    """rho(A) = min(rank, caps(A)), a truncated modular rank function."""
+    n = len(caps)
+    return [min(rank, sum(caps[i] for i in range(n) if mask >> i & 1)) for mask in range(1 << n)]
+
+
 def rank_of(vectors, n: int) -> list[int]:
     """rho(A) = max over the vectors of u(A)."""
     best = [0] * (1 << n)

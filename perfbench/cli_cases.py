@@ -21,6 +21,7 @@ from checks import (
     base_exchange_holds,
     borel_count,
     borel_set,
+    capped,
     check_rewrite,
     closed_inseparable,
     count_within,
@@ -43,11 +44,6 @@ def _vec_doc(kind: str, vectors, n: int) -> dict:
     return {"kind": kind, "n": n, "vectors": [list(v) for v in sorted(vectors)]}
 
 
-def _capped(caps, rank):
-    n = len(caps)
-    return [min(rank, sum(caps[i] for i in range(n) if mask >> i & 1)) for mask in range(1 << n)]
-
-
 def _generic_values(alpha, d):
     """The generic Gorenstein rank function, from its defining formula."""
     n = len(alpha) + 1
@@ -64,10 +60,10 @@ def _generic_values(alpha, d):
     ]
 
 
-POLY3_RANK = _capped((2, 1, 2), 3)
+POLY3_RANK = capped((2, 1, 2), 3)
 POLY3 = points_within(POLY3_RANK, 3)
-SIMPLEX3 = points_within(_capped((2, 2, 2), 2), 3)
-POLY2 = points_within(_capped((2, 2), 3), 2)
+SIMPLEX3 = points_within(capped((2, 2, 2), 2), 3)
+POLY2 = points_within(capped((2, 2), 3), 2)
 GENERIC3_RANK = _generic_values((2, 2), 6)
 GENERIC3 = points_within(GENERIC3_RANK, 3)
 BOREL_211 = sorted(borel_set((2, 1, 1)))
@@ -313,7 +309,7 @@ def _contracted(points, x):
 
 
 def _veronese(caps, d):
-    return [u for u in points_within([sum(caps[i] for i in range(len(caps)) if m >> i & 1) for m in range(1 << len(caps))], len(caps)) if sum(u) == d]
+    return [u for u in points_within(capped(caps, d), len(caps)) if sum(u) == d]
 
 
 def _build_cases() -> list[Case]:

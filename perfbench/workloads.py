@@ -93,9 +93,7 @@ def _cube(n: int, c: int) -> RankFunction:
 
 
 def _capped(caps, rank: int) -> RankFunction:
-    return _rank_values(
-        len(caps), lambda mask: min(rank, sum(c for i, c in enumerate(caps) if mask >> i & 1))
-    )
+    return RankFunction(len(caps), tuple(checks.capped(caps, rank)))
 
 
 # --- hstar ------------------------------------------------------------------------
