@@ -3,14 +3,18 @@
 
 Run one workload (this is what a measurement run does):
 
-    python3 perfbench/run.py --workload hstar --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload hstar --seed 1 --seconds 30 --trace 0
 
-or all four, each in its own fresh process:
+or every workload of BENCHMARK.json, each in its own fresh process, with
+one result line per workload:
 
-    python3 perfbench/run.py --seed 1 --seconds 20
+    python3 perfbench/run.py --seed 1
 
-One thread runs the workload's round of items in a closed loop, round
-after round, until the time is up; every round is whole.  Outputs are
+The run length defaults to ``run_seconds`` of BENCHMARK.json.  One thread
+runs the workload's round of items in a closed loop, round after round,
+as long as another round fits in the run length; every round is whole.
+The set-up is repeated at even intervals through the run and
+``setup_s`` is the median of those set-ups.  Outputs are
 checked outside the timed region: every output of a repeated input must
 equal the first one, and the first one is checked against the
 independent computations in ``checks.py``.  The last line of standard
@@ -43,8 +47,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
-WORKLOADS = ("hstar", "normality", "exchange", "cli")
-SETUPS = 3  # set-ups per run; setup_s is their median
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
+SETUPS = 5  # set-ups per run, spread through it; setup_s is their median
 IMPORT_PROBES = 5  # spawned interpreters for cli.import_ms
 BENCH_MODULES = ("workloads",)
 
@@ -142,10 +147,12 @@ def peak_rss_mb() -> float:
 
 
 def run_end_to_end(workload: str, seed: int, seconds: float) -> dict:
-    setups = []
-    for _ in range(SETUPS):
-        seconds_taken, wl = setup(workload, seed)
-        setups.append(seconds_taken)
+    """Rounds while another one fits in ``seconds``; set-up k of SETUPS runs
+    once k/SETUPS of the time has passed, and only the first set-up's
+    inputs are used (a later set-up imports polymat afresh, and outputs
+    of one import's classes do not compare equal to another's)."""
+    took, wl = setup(workload, seed)
+    setups = [took]
     loop = Loop(wl, comparable_for(workload))
     rounds = []
     started = time.perf_counter()
@@ -154,8 +161,17 @@ def run_end_to_end(workload: str, seed: int, seconds: float) -> dict:
             times = loop.round()
             loop.times.extend(times)
             rounds.append(sum(times))
-            if time.perf_counter() - started >= seconds:
+            elapsed = time.perf_counter() - started - sum(setups[1:])
+            if len(setups) < SETUPS and elapsed >= seconds * len(setups) / SETUPS:
+                took, later = setup(workload, seed)
+                later.cleanup()
+                setups.append(took)
+            if elapsed + statistics.median(rounds) > seconds:
                 break
+        while len(setups) < SETUPS:
+            took, later = setup(workload, seed)
+            later.cleanup()
+            setups.append(took)
         rss = peak_rss_mb()
         correct = loop.check()
     finally:
@@ -229,7 +245,8 @@ def run_traced(workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_all(args) -> int:
-    """Each workload in its own fresh process; prints each result line."""
+    """Each workload in its own fresh process; prints each result line,
+    prefixed with the workload's name."""
     status = 0
     for workload in WORKLOADS:
         cmd = [
@@ -242,10 +259,7 @@ def run_all(args) -> int:
             print(f"{workload}: exit {done.returncode}", file=sys.stderr)
             status = 1
             continue
-        result = json.loads(done.stdout.strip().splitlines()[-1])
-        for name, m in result["metrics"].items():
-            print(f"{workload:10s} {name:28s} {m['value']:14.4f} {m['unit']}")
-        print(f"{workload:10s} correct={result['correct']} attempted={result['attempted']} failed={result['failed']}")
+        print(f"{workload} {done.stdout.strip().splitlines()[-1]}")
     return status
 
 
@@ -253,7 +267,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (SRC / "polymat" / "__init__.py").is_file():

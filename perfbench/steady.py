@@ -26,10 +26,10 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(workload: str, seed: int, seconds: int) -> dict:
     cmd = [
         sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
     if done.returncode != 0:
@@ -49,7 +49,7 @@ def summarize(workload: str, results: list[dict], bounds: dict) -> bool:
         spread = (q3 - q1) / med if med else float("inf")
         bound = bounds.get(name)
         flag = ""
-        if bound is not None and name != "setup_s" and spread > bound / 3:
+        if bound is not None and spread > bound / 3:
             flag = "  above a third of the bound"
             steady = False
         shown = f"{bound:6.2f}" if bound is not None else "     -"
@@ -64,22 +64,20 @@ def main() -> int:
     parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]} if not args.trace else {}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = HERE / "out"
     out.mkdir(exist_ok=True)
     ok = True
     for workload in args.workloads.split(","):
         results = []
         for k in range(args.runs):
-            results.append(run_once(workload, args.seed0 + k, args.seconds, args.trace))
+            results.append(run_once(workload, args.seed0 + k, spec["run_seconds"]))
             print(f"{workload} seed {args.seed0 + k}: " + ", ".join(
                 f"{n}={m['value']:.4g}" for n, m in results[-1]["metrics"].items()
             ), flush=True)
         with open(out / f"steady-{workload}-{args.seed0}.json", "w") as handle:
-            json.dump({"workload": workload, "seed0": args.seed0, "seconds": args.seconds, "results": results}, handle, indent=1)
+            json.dump({"workload": workload, "seed0": args.seed0, "seconds": spec["run_seconds"], "results": results}, handle, indent=1)
         ok = summarize(workload, results, bounds) and ok
     return 0 if ok else 1
 

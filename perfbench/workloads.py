@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import os
+import tempfile
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from random import Random
@@ -69,19 +70,30 @@ class Workload:
     cleanup: Callable[[], None] = field(default=lambda: None)
 
 
-# The median band of the exchange workload is drawn from this fixed seed, so
-# it is the same whatever the run's seed.
-BAND_SEED = 0
+# Random polymatroids come from fixed pools: a fixed number of draws from
+# POOL_SEED for each (n, max rank), so every set-up does the same work
+# whatever the run's seed.  The run's seed only picks a stratum's members
+# from its pool.
+POOL_SEED = 0
+POOL_MIN = 5  # members a stratum must have in its pool
 
 
-def _draw(rng: Random, n: int, max_rank: int, positive: bool, accept, limit: int = 2000):
-    """Random polymatroids on [n] until ``accept(P)`` holds."""
-    for _ in range(limit):
+def _pool(n: int, max_rank: int, positive: bool, draws: int) -> list:
+    """(rank function, polymatroid) pairs of ``draws`` random rank functions on [n]."""
+    rng = Random(POOL_SEED)
+    pool = []
+    for _ in range(draws):
         rho = random_rank_function(rng, n, max_rank, ensure_positive=positive)
-        P = polymatroid_from_rank(rho)
-        if accept(P):
-            return rho, P
-    raise RuntimeError(f"no accepted polymatroid on [{n}] in {limit} draws")
+        pool.append((rho, polymatroid_from_rank(rho)))
+    return pool
+
+
+def _stratum(pool: list, accept) -> list:
+    """The pool's members whose polymatroid passes ``accept``."""
+    members = [(rho, P) for rho, P in pool if accept(P)]
+    if len(members) < POOL_MIN:
+        raise RuntimeError(f"{len(members)} pool members in a stratum, fewer than {POOL_MIN}")
+    return members
 
 
 def _rank_values(n: int, f) -> RankFunction:
@@ -130,6 +142,8 @@ HSTAR_CUBES = ((3, 2), (3, 3), (4, 1), (4, 2), (4, 3))
 # items each; the max rank makes each stratum common among the draws.  The
 # first two strata are cheaper than the band, the last two dearer.
 HSTAR_STRATA = ((4, 3, 20, 45), (5, 3, 15, 25), (4, 5, 80, 130), (5, 3, 35, 45))
+# Draws in the pool of each (n, max rank).
+HSTAR_POOLS = {(4, 3): 40, (5, 3): 80, (4, 5): 60}
 
 
 @dataclass(frozen=True)
@@ -180,9 +194,9 @@ def setup_hstar(seed: int, workdir: str) -> Workload:
     for n, c in HSTAR_CUBES:
         rho = _cube(n, c)
         inputs.append(HstarInput("cube", (n, c), n, polymatroid_from_rank(rho), rho))
+    pools = {key: _pool(*key, True, draws) for key, draws in HSTAR_POOLS.items()}
     for n, r, lo, hi in HSTAR_STRATA:
-        for _ in range(2):
-            rho, P = _draw(rng, n, r, True, lambda P: lo <= len(P) < hi)
+        for rho, P in rng.sample(_stratum(pools[n, r], lambda P: lo <= len(P) < hi), 2):
             inputs.append(HstarInput("random", rho.values, n, P, rho))
     rng.shuffle(inputs)
     return Workload(inputs, hstar_item, hstar_check)
@@ -239,6 +253,7 @@ NORMALITY_STRATA = (
     (3, 3, 150, 300, 2),
     (3, 3, 690, 1000, 2),
 )
+NORMALITY_POOLS = {(2, 4): 40, (2, 5): 40, (3, 3): 80}
 
 
 def normality_work(rho: RankFunction, size: int) -> int:
@@ -254,10 +269,10 @@ def setup_normality(seed: int, workdir: str) -> Workload:
     inputs = []
     for caps, rank in NORMALITY_BAND + NORMALITY_FIXED:
         inputs.append(polymatroid_from_rank(_capped(caps, rank)))
+    pools = {key: _pool(*key, True, draws) for key, draws in NORMALITY_POOLS.items()}
     for n, r, lo, hi, count in NORMALITY_STRATA:
-        for _ in range(count):
-            _, P = _draw(rng, n, r, True, lambda P: lo <= normality_work(rank_function(P.base_set), len(P)) < hi)
-            inputs.append(P)
+        members = _stratum(pools[n, r], lambda P: lo <= normality_work(rank_function(P.base_set), len(P)) < hi)
+        inputs.extend(P for _, P in rng.sample(members, count))
     rng.shuffle(inputs)
     return Workload(inputs, normality_item, normality_check_output)
 
@@ -275,7 +290,9 @@ def normality_check_output(P, verdict) -> None:
 # Random polymatroids by (n, max rank, lowest, highest number of bases,
 # items); the max rank makes each stratum common among the draws.  The cost
 # grows with the cube of the base count (degree-3 fibers): the 10-12 strata
-# are cheaper than the band of 16 bases, the 20-27 strata dearer.
+# are cheaper than the band of 15-17 bases, the 20-27 strata dearer.  The
+# band is the first eight members of the (4, 3) pool with 15-17 bases, the
+# same for every seed.
 EXCHANGE_STRATA = (
     (3, 5, 10, 13, 2),
     (4, 3, 10, 13, 2),
@@ -284,7 +301,8 @@ EXCHANGE_STRATA = (
     (5, 4, 20, 24, 2),
     (5, 4, 24, 28, 2),
 )
-EXCHANGE_BAND = ((4, 3, 16, 17, 8),)
+EXCHANGE_BAND = (4, 3, 15, 18, 8)
+EXCHANGE_POOLS = {(3, 5): 150, (4, 3): 400, (5, 3): 150, (5, 4): 250}
 # Fixed base sets, as Veronese (caps, d) and Borel generators; the four with
 # 30-35 bases are the slowest items.
 EXCHANGE_VERONESE = (((3, 3, 3), 4), ((2, 2, 2, 2), 3), ((3, 3, 3, 3), 4), ((2, 2, 2, 2, 2), 3))
@@ -306,12 +324,13 @@ def _exchange_input(rng: Random, rho: RankFunction, bases) -> ExchangeInput:
 
 def setup_exchange(seed: int, workdir: str) -> Workload:
     rng = Random(seed)
-    inputs = []
-    for strata, source in ((EXCHANGE_STRATA, rng), (EXCHANGE_BAND, Random(BAND_SEED))):
-        for n, r, lo, hi, count in strata:
-            for _ in range(count):
-                rho, P = _draw(source, n, r, False, lambda P: lo <= len(P.bases) < hi)
-                inputs.append(_exchange_input(source, rho, P.bases))
+    pools = {key: _pool(*key, False, draws) for key, draws in EXCHANGE_POOLS.items()}
+    chosen = []
+    for n, r, lo, hi, count in EXCHANGE_STRATA:
+        chosen += rng.sample(_stratum(pools[n, r], lambda P: lo <= len(P.bases) < hi), count)
+    n, r, lo, hi, count = EXCHANGE_BAND
+    chosen += _stratum(pools[n, r], lambda P: lo <= len(P.bases) < hi)[:count]
+    inputs = [_exchange_input(rng, rho, P.bases) for rho, P in chosen]
     for caps, d in EXCHANGE_VERONESE:
         B = veronese(caps, d)
         inputs.append(_exchange_input(rng, rank_function(B), B.vectors))
@@ -379,8 +398,7 @@ class CliInput:
 
 def setup_cli(seed: int, workdir: str) -> Workload:
     rng = Random(seed)
-    docdir = os.path.join(workdir, f"cli-docs-{os.getpid()}")
-    os.makedirs(docdir, exist_ok=True)
+    docdir = tempfile.mkdtemp(prefix="cli-docs-", dir=workdir)
     paths = {}
     for name, doc in cli_cases.DOCUMENTS.items():
         path = os.path.join(docdir, name + ".json")
