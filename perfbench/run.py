@@ -14,7 +14,10 @@ The run length defaults to ``run_seconds`` of BENCHMARK.json.  One thread
 runs the workload's round of items in a closed loop, round after round,
 as long as another round fits in the run length; every round is whole.
 The set-up is repeated at even intervals through the run and
-``setup_s`` is the median of those set-ups.  Outputs are
+``setup_s`` is the median of those set-ups.  Every time is scaled to
+a fixed host speed by the polymat-free reference in ``reference.py``,
+sampled between items and around each set-up; the unscaled figures go
+to standard error.  Outputs are
 checked outside the timed region: every output of a repeated input must
 equal the first one, and the first one is checked against the
 independent computations in ``checks.py``.  The last line of standard
@@ -43,6 +46,8 @@ import sys
 import time
 from pathlib import Path
 
+import reference
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -50,6 +55,7 @@ OUT = HERE / "out"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 SETUPS = 5  # set-ups per run, spread through it; setup_s is their median
+SETUP_SAMPLES = 3  # reference samples before and after each set-up
 IMPORT_PROBES = 5  # spawned interpreters for cli.import_ms
 BENCH_MODULES = ("workloads",)
 
@@ -84,6 +90,15 @@ def setup(workload: str, seed: int, tracer=None):
     return imported + time.perf_counter() - t1, wl
 
 
+def scaled_setup(workload: str, seed: int):
+    """``setup`` with its time scaled by the reference samples taken just
+    before and after it; returns (scaled seconds, wall seconds, Workload)."""
+    near = [reference.sample() for _ in range(SETUP_SAMPLES)]
+    took, wl = setup(workload, seed)
+    near += [reference.sample() for _ in range(SETUP_SAMPLES)]
+    return took * reference.NOMINAL_S / statistics.median(near), took, wl
+
+
 class Loop:
     """Closed-loop rounds over one workload, with outputs kept for checking."""
 
@@ -91,7 +106,9 @@ class Loop:
         self.wl = wl
         self.comparable = comparable
         self.first: list = [None] * len(wl.inputs)
-        self.times: list[float] = []
+        self.times: list[float] = []  # wall time of each item, in run order
+        self.starts: list[float] = []  # perf_counter at each item's start
+        self.pace = reference.Pace()
         self.attempted = 0
         self.failed = 0
         self.errors: list[str] = []  # items that raised: counted in failed
@@ -99,13 +116,18 @@ class Loop:
         self.rounds = 0
 
     def round(self) -> list[float]:
-        """One whole round; returns the item times."""
+        """One whole round; returns the item times.  A reference sample is
+        taken before an item whenever one is due."""
         times = []
         run = self.wl.run
         clock = time.perf_counter
+        pace = self.pace
         for k, inp in enumerate(self.wl.inputs):
+            if pace.due():
+                pace.take()
             error = None
             t0 = clock()
+            self.starts.append(t0)
             try:
                 out = run(inp)
             except Exception as exc:  # a failed item is counted, not fatal
@@ -121,7 +143,14 @@ class Loop:
             elif self.comparable(out) != self.comparable(self.first[k]):
                 self.problems.append(f"item {k}: output differs from its first round")
         self.rounds += 1
+        self.times.extend(times)
         return times
+
+    def scaled_rounds(self) -> list[list[float]]:
+        """Item times at the reference host speed, one list per round."""
+        scaled = [t * self.pace.scale(at) for at, t in zip(self.starts, self.times)]
+        n = len(self.wl.inputs)
+        return [scaled[r : r + n] for r in range(0, len(scaled), n)]
 
     def check(self) -> bool:
         for k, (inp, out) in enumerate(zip(self.wl.inputs, self.first)):
@@ -151,32 +180,44 @@ def run_end_to_end(workload: str, seed: int, seconds: float) -> dict:
     once k/SETUPS of the time has passed, and only the first set-up's
     inputs are used (a later set-up imports polymat afresh, and outputs
     of one import's classes do not compare equal to another's)."""
-    took, wl = setup(workload, seed)
-    setups = [took]
+    scaled, took, wl = scaled_setup(workload, seed)
+    setups, walls = [scaled], [took]
     loop = Loop(wl, comparable_for(workload))
     rounds = []
     started = time.perf_counter()
     try:
         while True:
-            times = loop.round()
-            loop.times.extend(times)
-            rounds.append(sum(times))
-            elapsed = time.perf_counter() - started - sum(setups[1:])
+            rounds.append(sum(loop.round()))
+            elapsed = time.perf_counter() - started - sum(walls[1:])
             if len(setups) < SETUPS and elapsed >= seconds * len(setups) / SETUPS:
-                took, later = setup(workload, seed)
+                scaled, took, later = scaled_setup(workload, seed)
                 later.cleanup()
-                setups.append(took)
+                setups.append(scaled)
+                walls.append(took)
             if elapsed + statistics.median(rounds) > seconds:
                 break
+        loop.pace.take()  # so the last items have samples on both sides
         while len(setups) < SETUPS:
-            took, later = setup(workload, seed)
+            scaled, took, later = scaled_setup(workload, seed)
             later.cleanup()
-            setups.append(took)
+            setups.append(scaled)
+            walls.append(took)
         rss = peak_rss_mb()
         correct = loop.check()
     finally:
         wl.cleanup()
-    times = loop.times
+    unscaled = {
+        "items_per_s": len(wl.inputs) / statistics.median(rounds),
+        "item_p50_ms": statistics.median(loop.times) * 1000,
+        "item_p90_ms": statistics.quantiles(loop.times, n=10)[8] * 1000,
+        "setup_s": statistics.median(walls),
+        "reference_ms": statistics.median(loop.pace.took) * 1000,
+        "reference_samples": len(loop.pace.took),
+    }
+    print("unscaled " + json.dumps(unscaled), file=sys.stderr)
+    scaled_rounds = loop.scaled_rounds()
+    rounds = [sum(r) for r in scaled_rounds]
+    times = [t for r in scaled_rounds for t in r]
     return {
         "correct": correct,
         "attempted": loop.attempted,

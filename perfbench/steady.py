@@ -10,7 +10,8 @@ Each run is a fresh ``perfbench/run.py`` process with its own seed
 metric the spread is (q3 - q1) / median, with the quartiles of
 ``statistics.quantiles(values, n=4)``; it is printed next to the
 metric's bound from BENCHMARK.json and flagged when above a third of
-it.  Raw results go to ``perfbench/out/steady-<workload>-<seed0>.json``.
+it.  The unscaled wall-clock figures that ``run.py`` writes to standard
+error are summarized beside them.  Raw results go to ``perfbench/out/steady-<workload>-<seed0>.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,17 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
     if done.returncode != 0:
         raise SystemExit(f"{workload} seed {seed}: exit {done.returncode}\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    for line in done.stderr.splitlines():
+        if line.startswith("unscaled "):
+            result["unscaled"] = json.loads(line.split(" ", 1)[1])
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float, float]:
+    """q1, median, q3 and the spread (q3 - q1) / median."""
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return q1, med, q3, (q3 - q1) / med if med else float("inf")
 
 
 def summarize(workload: str, results: list[dict], bounds: dict) -> bool:
@@ -44,9 +55,7 @@ def summarize(workload: str, results: list[dict], bounds: dict) -> bool:
     print(f"\n{workload}: {len(results)} runs, correct={correct}, failed shares {sorted(shares)}")
     print(f"  {'metric':24s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>8s} {'bound':>6s}")
     for name in results[0]["metrics"]:
-        values = [r["metrics"][name]["value"] for r in results]
-        q1, med, q3 = statistics.quantiles(values, n=4)
-        spread = (q3 - q1) / med if med else float("inf")
+        q1, med, q3, spread = quartiles([r["metrics"][name]["value"] for r in results])
         bound = bounds.get(name)
         flag = ""
         if bound is not None and spread > bound / 3:
@@ -54,6 +63,9 @@ def summarize(workload: str, results: list[dict], bounds: dict) -> bool:
             steady = False
         shown = f"{bound:6.2f}" if bound is not None else "     -"
         print(f"  {name:24s} {med:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f} {shown}{flag}")
+    for name in results[0].get("unscaled", {}):
+        q1, med, q3, spread = quartiles([r["unscaled"][name] for r in results])
+        print(f"  {'unscaled ' + name:24s} {med:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f}")
     return steady and correct and len(shares) == 1
 
 
