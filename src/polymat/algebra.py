@@ -379,9 +379,9 @@ def generic_gorenstein_rank(params: GenericGorensteinParams) -> RankFunction:
             values[mask] = params.d
         elif mask & last:
             rest = (full ^ mask) & ~last
-            values[mask] = params.d - _alpha_sum(alpha, rest) + 1
+            values[mask] = params.d - eval_on_subset(alpha, rest) + 1
         else:
-            values[mask] = _alpha_sum(alpha, mask) + 1
+            values[mask] = eval_on_subset(alpha, mask) + 1
     rho = RankFunction(n, tuple(values))
     verdict = validate_rank_function(rho)
     if not verdict:
@@ -392,13 +392,3 @@ def generic_gorenstein_rank(params: GenericGorensteinParams) -> RankFunction:
             if not mask & bit and values[mask | bit] <= values[mask]:
                 raise ValueError("construction is not strictly increasing")
     return rho
-
-
-def _alpha_sum(alpha: tuple, mask: int) -> int:
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        total += alpha[low.bit_length() - 1]
-        m ^= low
-    return total

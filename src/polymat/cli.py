@@ -25,7 +25,6 @@ from .algebra import (
     h_star,
     hilbert_values,
     is_generic,
-    is_gorenstein_hstar,
     normality_check,
 )
 from .constructions import (
@@ -38,7 +37,7 @@ from .constructions import (
     transversal_presentation,
     veronese,
 )
-from .core import SizeCapExceeded, Verdict, as_vector, subset_elements
+from .core import SizeCapExceeded, Verdict, as_vector, subset_elements, subset_mask
 from .exchange import ExchangeMode, exchange_property, is_sortable, rewrite_balanced, sort_pair
 from .polymatroid import (
     BaseSet,
@@ -53,6 +52,7 @@ from .polymatroid import (
     is_base_set,
     is_discrete_polymatroid,
     lift,
+    polymatroid_from_rank,
     polymatroid_sum,
     rank_function,
     rank_function_from_values,
@@ -81,9 +81,13 @@ def _require(payload: dict, field: str, kind: str) -> Any:
     return payload[field]
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(payload: dict, field: str, kind: str) -> int:
     v = _require(payload, field, kind)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise SchemaError(f"field {field!r} must be an integer, got {v!r}")
     return v
 
@@ -93,6 +97,13 @@ def _vector_list(payload: dict, field: str, kind: str) -> list:
     if not isinstance(v, list) or not v:
         raise SchemaError(f"field {field!r} must be a nonempty list")
     return v
+
+
+def _list_of_lists(payload: dict, field: str, kind: str) -> list:
+    rows = _vector_list(payload, field, kind)
+    if not all(isinstance(row, list) for row in rows):
+        raise SchemaError(f"field {field!r} must be a list of lists")
+    return rows
 
 
 def parse_document(text: str | bytes) -> Document:
@@ -109,12 +120,14 @@ def parse_document(text: str | bytes) -> Document:
     try:
         if kind in ("vector-set", "base-set"):
             n = _int_field(payload, "n", kind)
-            vectors = _vector_list(payload, "vectors", kind)
+            vectors = _list_of_lists(payload, "vectors", kind)
             build = base_set if kind == "base-set" else vector_set
             return Document(kind, build((as_vector(v) for v in vectors), n))
         if kind == "rank-function":
             n = _int_field(payload, "n", kind)
             values = _require(payload, "values", kind)
+            if not isinstance(values, list):
+                raise SchemaError("field 'values' must be a list")
             rho = rank_function_from_values(values, n)
             verdict = validate_rank_function(rho)
             if not verdict:
@@ -122,7 +135,7 @@ def parse_document(text: str | bytes) -> Document:
             return Document(kind, rho)
         if kind == "transversal":
             n = _int_field(payload, "n", kind)
-            family = _vector_list(payload, "family", kind)
+            family = _list_of_lists(payload, "family", kind)
             return Document(kind, transversal_presentation(n, family))
         if kind == "sublattice":
             n = _int_field(payload, "n", kind)
@@ -132,10 +145,12 @@ def parse_document(text: str | bytes) -> Document:
                 raise SchemaError("fields 'members' and 'mu' must be lists")
             if len(members) != len(mu_vals):
                 raise SchemaError("fields 'members' and 'mu' must have equal length")
-            from .core import subset_mask
-
+            if not all(isinstance(m, list) for m in members):
+                raise SchemaError("field 'members' must be a list of lists")
             masks = [subset_mask(m, n) for m in members]
             lat = sublattice(n, masks)
+            if not all(_is_int(v) for v in mu_vals):
+                raise SchemaError("field 'mu' must hold integers")
             return Document(kind, (lat, dict(zip(masks, mu_vals))))
         if kind == "borel":
             return Document(kind, as_vector(_vector_list(payload, "a", kind)))
@@ -172,8 +187,12 @@ def _vectors_doc(kind: str, n: int, vectors) -> dict:
     return {"kind": kind, "n": n, "vectors": [list(v) for v in sorted(vectors)]}
 
 
-def _verdict_payload(verdict: Verdict) -> dict:
-    out: dict[str, Any] = {"verdict": verdict.holds}
+def _rank_doc(rho: RankFunction) -> dict:
+    return {"kind": "rank-function", "n": rho.n, "values": list(rho.values)}
+
+
+def _verdict_payload(verdict: Verdict, **extra) -> dict:
+    out: dict[str, Any] = {"verdict": verdict.holds, **extra}
     if verdict.witness is not None:
         out["witness"] = _jsonable(verdict.witness)
     return out
@@ -184,23 +203,21 @@ def _as_polymatroid(doc: Document) -> DiscretePolymatroid:
         return discrete_polymatroid(doc.value)
     if doc.kind == "base-set":
         return discrete_polymatroid(downward_closure(VectorSet(doc.value.n, doc.value.vectors)))
-    raise SchemaError(f"expected a vector-set document, got {doc.kind!r}")
+    if doc.kind == "rank-function":
+        return polymatroid_from_rank(doc.value)
+    raise SchemaError(
+        f"expected a vector-set, base-set or rank-function document, got {doc.kind!r}"
+    )
 
 
 def _as_base_set(doc: Document) -> BaseSet:
-    if doc.kind == "base-set":
-        return doc.value
-    if doc.kind == "vector-set":
-        return bases(discrete_polymatroid(doc.value))
-    raise SchemaError(f"expected a base-set document, got {doc.kind!r}")
+    return doc.value if doc.kind == "base-set" else bases(_as_polymatroid(doc))
 
 
 def _as_rank_function(doc: Document) -> RankFunction:
     if doc.kind == "rank-function":
         return doc.value
-    if doc.kind in ("vector-set", "base-set"):
-        return rank_function(bases(_as_polymatroid(doc)))
-    raise SchemaError(f"expected a rank-function document, got {doc.kind!r}")
+    return rank_function(bases(_as_polymatroid(doc)))
 
 
 def _generators(which: str, doc: Document):
@@ -210,9 +227,11 @@ def _generators(which: str, doc: Document):
 
 
 # --- subcommand handlers ----------------------------------------------------
+# Each handler returns the report payload; main derives the exit code from
+# its "verdict" field.
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
+def _cmd_validate(args) -> dict:
     doc = _load(args.file)
     if doc.kind == "vector-set":
         verdict = is_discrete_polymatroid(doc.value)
@@ -222,92 +241,67 @@ def _cmd_validate(args) -> tuple[int, dict]:
         verdict = validate_rank_function(doc.value)
     else:
         raise SchemaError(f"nothing to validate for kind {doc.kind!r}")
-    return (0 if verdict else 1), _verdict_payload(verdict)
+    return _verdict_payload(verdict)
 
 
-def _cmd_bases(args) -> tuple[int, dict]:
-    P = _as_polymatroid(_load(args.file))
-    B = bases(P)
-    return 0, {"result": _vectors_doc("base-set", B.n, B.vectors)}
+def _cmd_bases(args) -> dict:
+    B = bases(_as_polymatroid(_load(args.file)))
+    return {"result": _vectors_doc("base-set", B.n, B.vectors)}
 
 
-def _cmd_rank(args) -> tuple[int, dict]:
-    rho = _as_rank_function(_load(args.file))
-    return 0, {"result": {"kind": "rank-function", "n": rho.n, "values": list(rho.values)}}
+def _cmd_rank(args) -> dict:
+    return {"result": _rank_doc(_as_rank_function(_load(args.file)))}
 
 
-def _cmd_exchange(args) -> tuple[int, dict]:
+def _cmd_exchange(args) -> dict:
     verdict = exchange_property(_as_base_set(_load(args.file)), ExchangeMode(args.mode))
-    payload = _verdict_payload(verdict)
-    payload["mode"] = args.mode
-    return (0 if verdict else 1), payload
+    return _verdict_payload(verdict, mode=args.mode)
 
 
-def _cmd_sort(args) -> tuple[int, dict]:
-    u, v = _parse_vector(args.u), _parse_vector(args.v)
-    s, t = sort_pair(u, v)
-    return 0, {"result": {"pair": [list(s), list(t)]}}
+def _cmd_sort(args) -> dict:
+    s, t = sort_pair(_parse_vector(args.u), _parse_vector(args.v))
+    return {"result": {"pair": [list(s), list(t)]}}
 
 
-def _cmd_sortable(args) -> tuple[int, dict]:
-    verdict = is_sortable(_as_base_set(_load(args.file)))
-    return (0 if verdict else 1), _verdict_payload(verdict)
+def _cmd_sortable(args) -> dict:
+    return _verdict_payload(is_sortable(_as_base_set(_load(args.file))))
 
 
-def _cmd_rewrite(args) -> tuple[int, dict]:
+def _cmd_rewrite(args) -> dict:
     B = _as_base_set(_load(args.file))
-    seq = [_parse_vector(s) for s in args.seq]
-    out, moves = rewrite_balanced(seq, B)
-    return 0, {
-        "result": {
-            "sequence": [list(v) for v in out],
-            "moves": [_jsonable(m) for m in moves],
-        }
-    }
+    out, moves = rewrite_balanced([_parse_vector(s) for s in args.seq], B)
+    return {"result": {"sequence": [list(v) for v in out], "moves": _jsonable(moves)}}
 
 
-def _cmd_white(args) -> tuple[int, dict]:
-    verdict = white_check(
-        _as_base_set(_load(args.file)),
-        args.degree,
-        max_base_size=args.max_base_size,
-        max_degree=max(args.degree, 4),
-    )
-    payload = _verdict_payload(verdict)
-    payload["degree"] = args.degree
-    payload["label"] = "verified instance" if verdict else "candidate counterexample"
-    return (0 if verdict else 1), payload
+def _cmd_white(args) -> dict:
+    B = _as_base_set(_load(args.file))
+    verdict = white_check(B, args.degree, max_base_size=args.max_base_size)
+    label = "verified instance" if verdict else "candidate counterexample"
+    return _verdict_payload(verdict, degree=args.degree, label=label)
 
 
-def _cmd_hilbert(args) -> tuple[int, dict]:
+def _cmd_hilbert(args) -> dict:
     gens = _generators(args.which, _load(args.file))
-    return 0, {"result": {"which": args.which, "values": hilbert_values(gens, args.terms)}}
+    return {"result": {"which": args.which, "values": hilbert_values(gens, args.terms)}}
 
 
-def _cmd_gorenstein(args) -> tuple[int, dict]:
+def _cmd_gorenstein(args) -> dict:
     doc = _load(args.file)
     if args.method == "hstar":
-        gens = _generators(args.which, doc)
-        data = h_star(gens)
-        verdict = is_gorenstein_hstar(gens)
-        payload = {
-            "verdict": verdict,
-            "h_star": list(data.h_star_trimmed),
-            "krull_dim": data.krull_dim,
-        }
-        return (0 if verdict else 1), payload
+        data = h_star(_generators(args.which, doc))
+        h = data.h_star_trimmed
+        return {"verdict": h == h[::-1], "h_star": list(h), "krull_dim": data.krull_dim}
     if args.which == "ehrhart":
         delta = ehrhart_gorenstein(_as_rank_function(doc))
-        return (0 if delta is not None else 1), {"verdict": delta is not None, "delta": delta}
+        return {"verdict": delta is not None, "delta": delta}
     if doc.kind != "borel":
         raise SchemaError("the base-ring criterion method needs a borel document")
-    verdict = borel_gorenstein(doc.value)
-    return (0 if verdict else 1), {"verdict": verdict}
+    return {"verdict": borel_gorenstein(doc.value)}
 
 
-def _cmd_facets(args) -> tuple[int, dict]:
+def _cmd_facets(args) -> dict:
     desc = closed_inseparable_subsets(_as_rank_function(_load(args.file)))
-    return 0, {
+    return {
         "result": {
             "coordinate_facets": list(desc.coordinate_facets),
             "rank_facets": [
@@ -318,106 +312,95 @@ def _cmd_facets(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_generic(args) -> tuple[int, dict]:
-    verdict = is_generic(_as_polymatroid(_load(args.file)))
-    return (0 if verdict else 1), _verdict_payload(verdict)
+def _cmd_generic(args) -> dict:
+    return _verdict_payload(is_generic(_as_polymatroid(_load(args.file))))
 
 
-def _cmd_is_transversal(args) -> tuple[int, dict]:
+def _cmd_is_transversal(args) -> dict:
     pres = is_transversal(_as_polymatroid(_load(args.file)))
     if pres is None:
-        return 1, {"verdict": False}
-    return 0, {"verdict": True, "presentation": [list(s) for s in pres.subsets_as_elements()]}
+        return {"verdict": False}
+    return {"verdict": True, "presentation": [list(s) for s in pres.subsets_as_elements()]}
 
 
-def _cmd_truncate(args) -> tuple[int, dict]:
+def _cmd_truncate(args) -> dict:
     P = truncate(_as_polymatroid(_load(args.file)), args.rank)
-    return 0, {"result": _vectors_doc("vector-set", P.n, P.points)}
+    return {"result": _vectors_doc("vector-set", P.n, P.points)}
 
 
-def _cmd_contract(args) -> tuple[int, dict]:
+def _cmd_contract(args) -> dict:
     P = contract(_as_polymatroid(_load(args.file)), _parse_vector(args.at))
-    return 0, {"result": _vectors_doc("vector-set", P.n, P.points)}
+    return {"result": _vectors_doc("vector-set", P.n, P.points)}
 
 
-def _cmd_lift(args) -> tuple[int, dict]:
+def _cmd_lift(args) -> dict:
     B = lift(_as_polymatroid(_load(args.file)))
-    return 0, {"result": _vectors_doc("base-set", B.n, B.vectors)}
+    return {"result": _vectors_doc("base-set", B.n, B.vectors)}
 
 
-def _cmd_sum(args) -> tuple[int, dict]:
-    parts = [_as_polymatroid(_load(path)) for path in args.files]
-    P = polymatroid_sum(*parts)
-    return 0, {"result": _vectors_doc("vector-set", P.n, P.points)}
+def _cmd_sum(args) -> dict:
+    P = polymatroid_sum(*(_as_polymatroid(_load(path)) for path in args.files))
+    return {"result": _vectors_doc("vector-set", P.n, P.points)}
 
 
-def _cmd_normality(args) -> tuple[int, dict]:
+def _cmd_normality(args) -> dict:
     gens = _generators(args.which, _load(args.file))
-    verdict = normality_check(gens, args.tmax)
-    payload = _verdict_payload(verdict)
-    payload["t_max"] = args.tmax
-    return (0 if verdict else 1), payload
+    return _verdict_payload(normality_check(gens, args.tmax), t_max=args.tmax)
 
 
-def _cmd_construct(args) -> tuple[int, dict]:
+def _cmd_construct(args) -> dict:
     target = args.target
     if target == "veronese":
-        if args.caps is None or args.rank is None:
-            caps, d = _construct_params(args, ("caps", "d"))
-        else:
-            caps, d = _parse_vector(args.caps), args.rank
-        B = veronese(caps, d)
-        return 0, {"result": _vectors_doc("base-set", B.n, B.vectors)}
+        B = veronese(*_flags_or_params(args, "caps"))
+        return {"result": _vectors_doc("base-set", B.n, B.vectors)}
     if target == "borel":
         if args.generator is None:
             raise SchemaError("construct borel needs --generator")
         S = principal_borel(_parse_vector(args.generator))
-        return 0, {"result": _vectors_doc("vector-set", S.n, S.vectors)}
+        return {"result": _vectors_doc("vector-set", S.n, S.vectors)}
     if target == "generic-gorenstein":
-        if args.alpha is None or args.rank is None:
-            alpha, d = _construct_params(args, ("alpha", "d"))
-        else:
-            alpha, d = _parse_vector(args.alpha), args.rank
-        rho = generic_gorenstein_rank(GenericGorensteinParams(tuple(alpha), d))
-        return 0, {"result": {"kind": "rank-function", "n": rho.n, "values": list(rho.values)}}
+        rho = generic_gorenstein_rank(GenericGorensteinParams(*_flags_or_params(args, "alpha")))
+        return {"result": _rank_doc(rho)}
     if target == "transversal":
-        doc = _load(args.file)
-        if doc.kind != "transversal":
-            raise SchemaError("construct transversal needs a transversal document")
-        B, rho = transversal(doc.value)
-        return 0, {
+        B, rho = transversal(_construct_document(args))
+        return {
             "result": {
                 "base_set": _vectors_doc("base-set", B.n, B.vectors),
-                "rank_function": {"kind": "rank-function", "n": rho.n, "values": list(rho.values)},
+                "rank_function": _rank_doc(rho),
             }
         }
-    if target == "sublattice":
-        doc = _load(args.file)
-        if doc.kind != "sublattice":
-            raise SchemaError("construct sublattice needs a sublattice document")
-        lat, mu = doc.value
-        P = sublattice_polymatroid(lat, mu)
-        return 0, {"result": _vectors_doc("vector-set", P.n, P.points)}
-    raise SchemaError(f"unknown construction target {target!r}")
+    P = sublattice_polymatroid(*_construct_document(args))
+    return {"result": _vectors_doc("vector-set", P.n, P.points)}
 
 
-def _construct_params(args, fields) -> tuple:
+def _flags_or_params(args, field: str) -> tuple:
+    """The vector flag named ``field`` with --rank, or else the fields
+    ``field`` and ``d`` of a params document."""
+    flag = getattr(args, field)
+    if flag is not None and args.rank is not None:
+        return _parse_vector(flag), args.rank
     if args.file is None:
         raise SchemaError(f"construct {args.target} needs flags or a params document")
     doc = _load(args.file)
     if doc.kind != "params":
         raise SchemaError(f"construct {args.target} needs a params document")
-    out = []
-    for field in fields:
-        if field not in doc.value:
-            raise SchemaError(f"params document is missing field {field!r}")
-        out.append(doc.value[field])
-    vec, d = out
+    for name in (field, "d"):
+        if name not in doc.value:
+            raise SchemaError(f"params document is missing field {name!r}")
+    vec, d = doc.value[field], doc.value["d"]
     if not isinstance(vec, list):
-        raise SchemaError(f"params field {fields[0]!r} must be a list")
-    if not isinstance(d, int):
+        raise SchemaError(f"params field {field!r} must be a list")
+    if not _is_int(d):
         raise SchemaError("params field 'd' must be an integer")
     return as_vector(vec), d
+
+
+def _construct_document(args) -> Any:
+    """The value of the document named by the target (transversal or sublattice)."""
+    doc = None if args.file is None else _load(args.file)
+    if doc is None or doc.kind != args.target:
+        raise SchemaError(f"construct {args.target} needs a {args.target} document")
+    return doc.value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,11 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, payload = args.handler(args)
+        payload = args.handler(args)
+        code = 1 if payload.get("verdict") is False else 0
     except (SchemaError, SizeCapExceeded, ValueError) as exc:
         code, payload = 2, {"error": str(exc)}
     report = {"command": args.command, "version": __version__}

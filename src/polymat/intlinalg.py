@@ -12,38 +12,13 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = prow[col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine span of a point set (-1 for the empty set)."""
     pts = list(points)
     if not pts:
         return -1
     base = pts[0]
-    return integer_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
+    return len(lattice_basis([[a - b for a, b in zip(p, base)] for p in pts[1:]]))
 
 
 def lattice_basis(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -263,17 +263,21 @@ def is_base_set(B: BaseSet) -> Verdict:
 
 def rank_function(B: BaseSet) -> RankFunction:
     """rho(A) = max over bases of the mass a base puts on A."""
-    n = B.n
+    return RankFunction(B.n, _max_subset_sums(B.vectors, B.n))
+
+
+def _max_subset_sums(vectors, n: int) -> tuple:
+    """For every subset A of [n] (by bitmask), the largest u(A) over the vectors."""
     size = 1 << n
     best = [0] * size
-    for u in B.vectors:
+    for u in vectors:
         sums = [0] * size
         for m in range(1, size):
             low = m & -m
             sums[m] = sums[m ^ low] + u[low.bit_length() - 1]
             if sums[m] > best[m]:
                 best[m] = sums[m]
-    return RankFunction(n, tuple(best))
+    return tuple(best)
 
 
 def validate_rank_function(rho: RankFunction) -> Verdict:
@@ -364,19 +368,8 @@ def hull_consistency(P: DiscretePolymatroid | VectorSet) -> bool:
     the lattice points of its convex hull); for other downward-closed
     sets it fails and certifies the defect.
     """
-    if isinstance(P, DiscretePolymatroid):
-        n, pts = P.n, P.points
-    else:
-        n, pts = P.n, P.vectors
-    best = [0] * (1 << n)
-    for u in pts:
-        sums = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            sums[m] = sums[m ^ low] + u[low.bit_length() - 1]
-            if sums[m] > best[m]:
-                best[m] = sums[m]
-    return _points_within(tuple(best), n) == pts
+    pts = P.points if isinstance(P, DiscretePolymatroid) else P.vectors
+    return _points_within(_max_subset_sums(pts, P.n), P.n) == pts
 
 
 # --- structural operations --------------------------------------------------

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polymat.cli import SchemaError, main, parse_document
 
@@ -319,3 +323,164 @@ def test_invalid_polymatroid_input_exits_two(capsys, tmp_path):
     code, report = run(capsys, "bases", bad)
     assert code == 2
     assert "error" in report
+
+
+def test_rank_function_documents_stand_for_their_polymatroid(capsys, tmp_path, simplex3_file):
+    rho = write(
+        tmp_path, "rho.json", {"kind": "rank-function", "n": 3, "values": [0] + [3] * 7}
+    )
+    code, report = run(capsys, "hilbert", "--which", "ehrhart", "--terms", "3", rho)
+    assert code == 0
+    assert report["result"]["values"] == [1, 20, 84, 220]
+    _, points_report = run(capsys, "hilbert", "--which", "ehrhart", "--terms", "3", simplex3_file)
+    assert points_report["result"] == report["result"]
+    code, report = run(capsys, "bases", rho)
+    assert code == 0
+    assert len(report["result"]["vectors"]) == 10
+    assert all(sum(v) == 3 for v in report["result"]["vectors"])
+
+
+def test_white_keeps_the_degree_cap(capsys, strong_five_file):
+    code, report = run(capsys, "white", "--degree", "6", strong_five_file)
+    assert code == 2
+    assert "cap 4" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["bases"], {"kind": "vector-set", "n": 2, "vectors": [0, 1, 1, 2]}),
+        (["construct", "transversal"], {"kind": "transversal", "n": 2, "family": [[], 1]}),
+        (["rank"], {"kind": "rank-function", "n": 2, "values": True}),
+        (["rank"], {"kind": "rank-function", "n": 2, "values": 5}),
+        (
+            ["construct", "sublattice"],
+            {"kind": "sublattice", "n": 1, "members": [[], [1]], "mu": [0, [1]]},
+        ),
+        (["construct", "sublattice"], None),
+        (["construct", "transversal"], None),
+        (["construct", "veronese"], {"kind": "params", "caps": [2, 2, 2], "d": True}),
+    ],
+    ids=[
+        "flat-vectors",
+        "non-list-family-member",
+        "values-true",
+        "values-int",
+        "non-integer-mu",
+        "sublattice-without-file",
+        "transversal-without-file",
+        "params-d-true",
+    ],
+)
+def test_malformed_input_exits_two(capsys, tmp_path, argv, doc):
+    if doc is not None:
+        argv = argv + [write(tmp_path, "doc.json", doc)]
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert "error" in report
+
+
+# --- the exit-code contract on random documents -------------------------------------
+
+_SCALAR = st.none() | st.booleans() | st.integers(-1, 3) | st.text(max_size=2)
+_JUNK = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+# Every subcommand that reads one document.
+_COMMANDS = [
+    ["validate"],
+    ["bases"],
+    ["rank"],
+    ["exchange", "--mode", "strong"],
+    ["sortable"],
+    ["rewrite", "--seq", "1,1"],
+    ["white"],
+    ["hilbert", "--which", "base", "--terms", "2"],
+    ["hilbert", "--which", "ehrhart", "--terms", "2"],
+    ["gorenstein", "--which", "base"],
+    ["gorenstein", "--which", "ehrhart"],
+    ["gorenstein", "--which", "base", "--method", "criterion"],
+    ["gorenstein", "--which", "ehrhart", "--method", "criterion"],
+    ["facets"],
+    ["generic"],
+    ["is-transversal"],
+    ["truncate", "--rank", "1"],
+    ["contract", "--at", "1,0"],
+    ["lift"],
+    ["sum"],
+    ["normality", "--which", "base"],
+    ["normality", "--which", "ehrhart"],
+    ["construct", "veronese"],
+    ["construct", "generic-gorenstein"],
+    ["construct", "transversal"],
+    ["construct", "sublattice"],
+]
+
+
+# The fields each kind reads; "matroid" is not a kind.
+_FIELDS = {
+    "vector-set": ("n", "vectors"),
+    "base-set": ("n", "vectors"),
+    "rank-function": ("n", "values"),
+    "transversal": ("n", "family"),
+    "sublattice": ("n", "members", "mu"),
+    "borel": ("a",),
+    "params": ("caps", "alpha", "d"),
+    "matroid": ("n", "vectors"),
+}
+
+
+@st.composite
+def _documents(draw, kind):
+    """A well-typed document, or one with a single field replaced by
+    arbitrary JSON or holding an arbitrary JSON scalar as one entry.
+    Well-typed point sets and rank functions are often those of a box or
+    a capped box, so that every exit code occurs."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    top = draw(vector)
+    box = [list(p) for p in product(*(range(c + 1) for c in top))]
+    rank = draw(st.integers(0, 3))
+    capped = [min(rank, sum(c for i, c in enumerate(top) if m >> i & 1)) for m in range(1 << n)]
+    subsets = st.lists(st.lists(st.integers(1, n), max_size=n), min_size=1, max_size=4)
+    typed = {
+        "n": st.just(n),
+        "vectors": st.sampled_from([box, [top]]) | st.lists(vector, min_size=1, max_size=4),
+        "values": st.just(capped) | st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n),
+        "family": subsets,
+        "members": st.just([[], list(range(1, n + 1))]) | subsets,
+        "mu": st.just([0, rank]) | st.lists(st.integers(0, 3), max_size=4),
+        "a": vector,
+        "caps": vector,
+        "alpha": st.lists(st.integers(2, 3), min_size=1, max_size=2),
+        "d": st.integers(0, 7),
+    }
+    doc = {"kind": kind}
+    for field in _FIELDS[kind]:
+        doc[field] = draw(typed[field])
+    spoilt = draw(st.sampled_from((None,) + _FIELDS[kind]))
+    if spoilt is not None:
+        value = doc[spoilt]
+        if isinstance(value, list) and value and draw(st.booleans()):
+            value[draw(st.integers(0, len(value) - 1))] = draw(_SCALAR)
+        else:
+            doc[spoilt] = draw(_JUNK)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(_FIELDS))
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_main_keeps_the_exit_code_contract(tmp_path, kind, data):
+    path = write(tmp_path, "doc.json", data.draw(_documents(kind)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(data.draw(st.sampled_from(_COMMANDS)) + [path])
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)

@@ -4,17 +4,16 @@ from polymat.intlinalg import (
     affine_rank,
     in_lattice,
     in_scaled_hull,
-    integer_rank,
     lattice_basis,
 )
 
 
-def test_integer_rank_basics():
-    assert integer_rank([]) == 0
-    assert integer_rank([[0, 0]]) == 0
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[1, 0], [0, 1]]) == 2
-    assert integer_rank([[2, 3, 5], [4, 6, 10], [1, 1, 1]]) == 2
+def test_lattice_basis_rank_basics():
+    assert len(lattice_basis([])) == 0
+    assert len(lattice_basis([[0, 0]])) == 0
+    assert len(lattice_basis([[1, 2], [2, 4]])) == 1
+    assert len(lattice_basis([[1, 0], [0, 1]])) == 2
+    assert len(lattice_basis([[2, 3, 5], [4, 6, 10], [1, 1, 1]])) == 2
 
 
 def test_affine_rank():
