@@ -9,19 +9,30 @@ ring is Gorenstein exactly when the h*-vector is palindromic (Stanley's
 symmetry criterion for graded Cohen-Macaulay domains; normality is what
 makes the criterion applicable here).  All counting is lattice-point
 counting; no field ever enters.
+
+Bases of a sum of discrete polymatroids are the sums of their bases, and
+the rank functions add.  So the t-fold sums of the bases of a polymatroid
+with rank rho are the integer bases of t*rho, and the t-fold sums of its
+points are the integer points of t*rho, which are the bases of the
+lifted rank on one more coordinate.  Polymatroid rings are therefore
+counted by rank dilation, with no set of sums built; the t-fold
+Minkowski sumset serves only generators that carry no rank function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
+from operator import sub
 
 from .core import (
+    SizeCapExceeded,
     Verdict,
     as_vector,
     check_cap,
     eval_on_subset,
+    max_points,
     modulus,
     subset_size,
     subsets,
@@ -42,13 +53,19 @@ from .polymatroid import (
 @dataclass(frozen=True)
 class GradedGenerators:
     """Degree-one generators of an affine semigroup, with their
-    difference lattice (integer echelon basis) and Krull dimension."""
+    difference lattice (integer echelon basis) and Krull dimension.
+
+    ``rank``, when set, is a polymatroid rank function whose t-th dilate
+    has exactly H(t) integer bases; Hilbert values are then counted from
+    it instead of from the sumset of the generators.
+    """
 
     n: int
     gens: frozenset
     origin: Vector
     lattice: tuple
     dim: int
+    rank: RankFunction | None = None
 
 
 def graded_generators(vectors) -> GradedGenerators:
@@ -65,15 +82,32 @@ def graded_generators(vectors) -> GradedGenerators:
 
 
 def ehrhart_generators(P: DiscretePolymatroid | VectorSet) -> GradedGenerators:
-    """Generators (u, 1) for every point u of P."""
-    pts = P.points if isinstance(P, DiscretePolymatroid) else P.vectors
-    return graded_generators(u + (1,) for u in pts)
+    """Generators (u, 1) for every point u of P.
+
+    For a polymatroid the rank is lifted to [n+1]: rho(A) on subsets of
+    [n] and rank(P) on every subset holding n+1.  Its integer bases are
+    the vectors (u, rank(P) - |u|), one per point u, in every dilate.
+    """
+    if not isinstance(P, DiscretePolymatroid):
+        return graded_generators(u + (1,) for u in P.vectors)
+    rho = rank_function(P.base_set)
+    lifted = RankFunction(P.n + 1, rho.values + (P.rank,) * (1 << P.n))
+    return replace(graded_generators(u + (1,) for u in P.points), rank=lifted)
 
 
 def base_ring_generators(B: BaseSet) -> GradedGenerators:
     """The bases themselves; their equal modulus plays the role of the
-    homogenizing coordinate."""
-    return graded_generators(B.vectors)
+    homogenizing coordinate.
+
+    The rank is kept only when B is proved to be the base set of the
+    polymatroid of rho = rank_function(B): rho is a rank function, and it
+    has exactly |B| integer bases (B is always among them).
+    """
+    G = graded_generators(B.vectors)
+    rho = rank_function(B)
+    if validate_rank_function(rho) and _count_bases(rho, 1, len(B)) == len(B):
+        return replace(G, rank=rho)
+    return G
 
 
 def _packer(gens, t_max: int):
@@ -95,10 +129,90 @@ def _packer(gens, t_max: int):
     return pack, [pack(g) for g in sorted(gens)]
 
 
+def _count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
+    """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
+    and |u| = t*rho([n]).
+
+    A depth-first search fixes the first n - 2 coordinates, keeping the
+    subset sums x(A) of the fixed prefix.  Coordinate k ranges over the
+    interval left by u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
+    t*rho([n] - A) on the subsets A of [k] holding k.  The last two
+    coordinates have a fixed sum, so each full prefix adds the length of
+    one interval, and the prefixes that differ only in coordinate n - 2
+    are summed in one loop from four minima over the shorter prefix.
+    Every inequality is checked on the way, so the count does not rest
+    on how much the prefix bounds prune.  For a polymatroid rank
+    function they describe the projection of the base polytope, so every
+    prefix extends to a base and no more prefixes than bases are
+    visited.  Returns None, before doing their work, when more than
+    ``limit`` full prefixes are due.  No point is stored.
+    """
+    n = rho.n
+    r = [t * v for v in rho.values]
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    full = (1 << n) - 1
+    low = [total - r[full ^ mask] for mask in range(1 << n)]
+    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one searched
+    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the full prefix
+    down = r[4 * last : 6 * last]  # r(A + {n})
+    sums = [0] * last
+    count = 0
+    prefixes = 0
+
+    def search(bit: int) -> bool:
+        nonlocal count, prefixes
+        below = sums[:bit]
+        hi = min(map(sub, r[bit : 2 * bit], below))
+        lo = max(0, max(map(sub, low[bit : 2 * bit], below)))
+        if bit < last:
+            for v in range(lo, hi + 1):
+                sums[bit : 2 * bit] = [x + v for x in below]
+                if not search(2 * bit):
+                    return False
+            return True
+        prefixes += max(0, hi - lo + 1)
+        if prefixes > limit:
+            return False
+        # with v in coordinate n - 2 and head - v left for the last two,
+        # coordinate n - 1 ranges over [max(floor, gap - v), min(ceil, top - v)]
+        head = total - below[-1]
+        ceil = min(map(sub, up[:bit], below))
+        top = min(head, min(map(sub, up[bit:], below)))
+        floor = max(0, head - min(map(sub, down[bit:], below)))
+        gap = head - min(map(sub, down[:bit], below))
+        for v in range(lo, hi + 1):
+            width = min(ceil, top - v) - max(floor, gap - v) + 1
+            if width > 0:
+                count += width
+        return True
+
+    return count if search(1) else None
+
+
 def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
-    """Number of distinct sums of t generators, for t = 0 .. t_max."""
+    """Number of distinct sums of t generators, for t = 0 .. t_max.
+
+    With a rank function the values are counted by rank dilation; the
+    size cap bounds the prefixes each count visits.  Without one the
+    t-fold sumset is built level by level.
+    """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if G.rank is not None:
+        cap = max_points()
+        values = []
+        for t in range(t_max + 1):
+            count = _count_bases(G.rank, t, cap)
+            if count is None:
+                raise SizeCapExceeded(
+                    f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
+                )
+            values.append(count)
+        return values
     values = [1]
     _, packed = _packer(G.gens, t_max)
     level = {0}
@@ -167,10 +281,12 @@ def is_gorenstein_hstar(G: GradedGenerators) -> bool:
 
 def base_ring_gorenstein(B: BaseSet) -> bool:
     """Gorenstein verdict for the base ring via the h* palindrome."""
-    verdict = is_base_set(B)
-    if not verdict:
-        raise ValueError(f"not a valid base set: witness {verdict.witness}")
-    return is_gorenstein_hstar(base_ring_generators(B))
+    G = base_ring_generators(B)
+    if G.rank is None:
+        verdict = is_base_set(B)
+        if not verdict:
+            raise ValueError(f"not a valid base set: witness {verdict.witness}")
+    return is_gorenstein_hstar(G)
 
 
 # --- normality as a saturation check ----------------------------------------

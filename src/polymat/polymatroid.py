@@ -126,11 +126,14 @@ def base_set(vectors: Iterable, n: int | None = None) -> BaseSet:
 
 
 def rank_function_from_values(values: Iterable[int], n: int) -> RankFunction:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"ground set size must be a nonnegative integer, got {n!r}")
     vals = tuple(values)
-    if len(vals) != 1 << n:
-        raise ValueError(f"rank function on [{n}] needs {1 << n} values, got {len(vals)}")
+    # compares the length with 2^n without building 2^n, which a huge n makes costly
+    if len(vals) & (len(vals) - 1) or len(vals).bit_length() != n + 1:
+        raise ValueError(f"rank function on [{n}] needs 2^{n} values, got {len(vals)}")
     for v in vals:
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"rank values must be nonnegative integers, got {v!r}")
     return RankFunction(n, vals)
 

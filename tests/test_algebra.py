@@ -4,9 +4,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from polymat import (
     GenericGorensteinParams,
     RankFunction,
+    SizeCapExceeded,
     base_ring_generators,
     base_ring_gorenstein,
     base_set,
@@ -24,6 +26,7 @@ from polymat import (
     is_gorenstein_hstar,
     normality_check,
     polymatroid_from_rank,
+    principal_borel,
     rank_function,
     subset_mask,
     validate_rank_function,
@@ -71,6 +74,70 @@ def test_hilbert_closed_forms():
         assert hilbert_values(G, 3) == [comb(d * t + n, n) for t in range(4)]
 
 
+def _sumset_values(G, t_max):
+    """The same Hilbert values from the t-fold sumset of the generators alone."""
+    return hilbert_values(graded_generators(G.gens), t_max)
+
+
+def _borel_base_sets():
+    """Principal Borel base sets of every generator with n <= 4 and modulus <= 4."""
+    for n in range(1, 5):
+        for d in range(1, 5):
+            for a in product(range(d + 1), repeat=n):
+                if sum(a) == d:
+                    yield base_set(principal_borel(a).vectors)
+
+
+def test_rank_dilation_matches_sumset(instance_pool):
+    # Point rings with more than 100 points are left to the brute-force test
+    # below, because their degree-D sumsets take seconds each.
+    rings = []
+    for _, P in instance_pool:
+        rings.append(base_ring_generators(P.base_set))
+        if len(P) <= 100:
+            rings.append(ehrhart_generators(P))
+    for B in _borel_base_sets():
+        rings.append(base_ring_generators(B))
+        rings.append(ehrhart_generators(polymatroid_from_rank(rank_function(B))))
+    assert len(rings) == 200 + 188 + 2 * 121
+    for G in rings:
+        assert G.rank is not None
+        assert hilbert_values(G, G.dim) == _sumset_values(G, G.dim), sorted(G.gens)
+
+
+def test_rank_dilation_matches_brute_force(instance_pool):
+    for _, P in instance_pool:
+        point_ring = hilbert_values(ehrhart_generators(P), 2)
+        base_ring = hilbert_values(base_ring_generators(P.base_set), 2)
+        rho = rank_function(P.base_set)
+        for t in (1, 2):
+            points = oracles.points_under([t * v for v in rho.values], P.n)
+            assert point_ring[t] == len(points)
+            assert base_ring[t] == sum(1 for u in points if sum(u) == t * P.rank)
+
+
+def test_rank_kept_only_for_polymatroids(stable_five, stable_five_set):
+    # a rank function is attached only where it counts the same ring
+    assert base_ring_generators(stable_five).rank is None
+    assert ehrhart_generators(stable_five_set).rank is None
+    assert graded_generators([(2, 1, 1), (2, 2, 0)]).rank is None
+    # rho of {(2,0),(0,2)} is a rank function, but it also has the base (1,1)
+    G = base_ring_generators(base_set([(2, 0), (0, 2)]))
+    assert G.rank is None
+    assert hilbert_values(G, 3) == [1, 2, 3, 4]
+    assert base_ring_generators(base_set([(2, 0), (1, 1), (0, 2)])).rank is not None
+
+
+def test_hilbert_cap_bounds_the_count(monkeypatch):
+    G = ehrhart_generators(cube(3, 3))
+    # the old level cap let H(3) = 220 through, and so does the prefix count
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "220")
+    assert hilbert_values(G, 3) == [1, 20, 84, 220]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "10")
+    with pytest.raises(SizeCapExceeded, match="cap is 10"):
+        hilbert_values(G, 3)
+
+
 # --- h* vectors ----------------------------------------------------------------
 
 
@@ -114,6 +181,12 @@ def test_h_star_rejects_non_normal_input():
     # sums of two of these miss (5, 1), so the degree-2 count is off
     with pytest.raises(ValueError):
         h_star(graded_generators([(3, 0), (1, 2), (0, 3)]))
+    # as a base set it is not a polymatroid's (its rho also has (2, 1)), so
+    # it stays on the sumset and is still rejected
+    G = base_ring_generators(base_set([(3, 0), (1, 2), (0, 3)]))
+    assert G.rank is None
+    with pytest.raises(ValueError):
+        h_star(G)
 
 
 def test_gorenstein_hstar_examples():

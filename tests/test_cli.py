@@ -340,6 +340,13 @@ def test_rank_function_documents_stand_for_their_polymatroid(capsys, tmp_path, s
     assert all(sum(v) == 3 for v in report["result"]["vectors"])
 
 
+def test_hilbert_size_cap_exits_two(capsys, monkeypatch, simplex3_file):
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "10")
+    code, report = run(capsys, "hilbert", "--which", "ehrhart", "--terms", "3", simplex3_file)
+    assert code == 2
+    assert "cap is 10" in report["error"]
+
+
 def test_white_keeps_the_degree_cap(capsys, strong_five_file):
     code, report = run(capsys, "white", "--degree", "6", strong_five_file)
     assert code == 2
@@ -353,6 +360,10 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         (["construct", "transversal"], {"kind": "transversal", "n": 2, "family": [[], 1]}),
         (["rank"], {"kind": "rank-function", "n": 2, "values": True}),
         (["rank"], {"kind": "rank-function", "n": 2, "values": 5}),
+        (["rank"], {"kind": "rank-function", "n": 1, "values": [False, True]}),
+        (["bases"], {"kind": "rank-function", "n": 1, "values": [False, True]}),
+        (["rank"], {"kind": "rank-function", "n": 20000, "values": [0, 1]}),
+        (["rank"], {"kind": "rank-function", "n": -1, "values": [0]}),
         (
             ["construct", "sublattice"],
             {"kind": "sublattice", "n": 1, "members": [[], [1]], "mu": [0, [1]]},
@@ -366,6 +377,10 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         "non-list-family-member",
         "values-true",
         "values-int",
+        "values-booleans",
+        "bases-of-boolean-values",
+        "huge-n",
+        "negative-n",
         "non-integer-mu",
         "sublattice-without-file",
         "transversal-without-file",

@@ -280,6 +280,13 @@ def test_rank_function_from_values_validation():
         rank_function_from_values([0, 1], 2)
     with pytest.raises(ValueError):
         rank_function_from_values([0, 1, 1, -1], 2)
+    with pytest.raises(ValueError, match="integers"):
+        rank_function_from_values([False, True], 1)
+    with pytest.raises(ValueError, match=r"needs 2\^20000 values, got 2"):
+        rank_function_from_values([0, 1], 20000)
+    for n in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="ground set size"):
+            rank_function_from_values([0, 1], n)
     rho = rank_function_from_values([0, 2, 2, 3], 2)
     assert rho(3) == 3
 
