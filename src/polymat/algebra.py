@@ -85,8 +85,9 @@ def ehrhart_generators(P: DiscretePolymatroid | VectorSet) -> GradedGenerators:
     """Generators (u, 1) for every point u of P.
 
     For a polymatroid the rank is lifted to [n+1]: rho(A) on subsets of
-    [n] and rank(P) on every subset holding n+1.  Its integer bases are
-    the vectors (u, rank(P) - |u|), one per point u, in every dilate.
+    [n] and rank(P) on every subset holding n+1.  The integer bases of
+    its t-th dilate are the vectors (u, t*rank(P) - |u|) for the points u
+    of t*rho, one per t-fold sum of generators.
     """
     if not isinstance(P, DiscretePolymatroid):
         return graded_generators(u + (1,) for u in P.vectors)

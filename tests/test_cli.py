@@ -361,7 +361,6 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         (["rank"], {"kind": "rank-function", "n": 2, "values": True}),
         (["rank"], {"kind": "rank-function", "n": 2, "values": 5}),
         (["rank"], {"kind": "rank-function", "n": 1, "values": [False, True]}),
-        (["bases"], {"kind": "rank-function", "n": 1, "values": [False, True]}),
         (["rank"], {"kind": "rank-function", "n": 20000, "values": [0, 1]}),
         (["rank"], {"kind": "rank-function", "n": -1, "values": [0]}),
         (
@@ -378,7 +377,6 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         "values-true",
         "values-int",
         "values-booleans",
-        "bases-of-boolean-values",
         "huge-n",
         "negative-n",
         "non-integer-mu",
