@@ -77,8 +77,10 @@ from .polymatroid import (
     RankFunction,
     VectorSet,
     base_set,
+    base_set_rank,
     bases,
     contract,
+    count_bases,
     discrete_polymatroid,
     downward_closure,
     greedy_vertex,

@@ -21,10 +21,9 @@ Minkowski sumset serves only generators that carry no rank function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import comb
-from operator import sub
 
 from .core import (
     SizeCapExceeded,
@@ -44,8 +43,11 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
+    base_set_rank,
+    count_bases,
     is_base_set,
     rank_function,
+    rank_table_fits,
     validate_rank_function,
 )
 
@@ -53,19 +55,23 @@ from .polymatroid import (
 @dataclass(frozen=True)
 class GradedGenerators:
     """Degree-one generators of an affine semigroup, with their
-    difference lattice (integer echelon basis) and Krull dimension.
-
-    ``rank``, when set, is a polymatroid rank function whose t-th dilate
-    has exactly H(t) integer bases; Hilbert values are then counted from
-    it instead of from the sumset of the generators.
-    """
+    difference lattice (integer echelon basis) and Krull dimension."""
 
     n: int
     gens: frozenset
     origin: Vector
     lattice: tuple
     dim: int
-    rank: RankFunction | None = None
+    _rank: RankFunction | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def rank(self) -> RankFunction | None:
+        """A polymatroid rank function whose t-th dilate has exactly H(t)
+        integer bases, or None.  Only :func:`ehrhart_generators` and
+        :func:`base_ring_generators` set it, once it is proved; Hilbert
+        values are then counted from it instead of from the sumset.
+        """
+        return self._rank
 
 
 def graded_generators(vectors) -> GradedGenerators:
@@ -84,31 +90,29 @@ def graded_generators(vectors) -> GradedGenerators:
 def ehrhart_generators(P: DiscretePolymatroid | VectorSet) -> GradedGenerators:
     """Generators (u, 1) for every point u of P.
 
-    For a polymatroid the rank is lifted to [n+1]: rho(A) on subsets of
-    [n] and rank(P) on every subset holding n+1.  The integer bases of
-    its t-th dilate are the vectors (u, t*rank(P) - |u|) for the points u
-    of t*rho, one per t-fold sum of generators.
+    For a polymatroid whose rank table is cheap the rank is lifted to
+    [n+1]: rho(A) on subsets of [n] and rank(P) on every subset holding
+    n+1.  The integer bases of its t-th dilate are the vectors
+    (u, t*rank(P) - |u|) for the points u of t*rho, one per t-fold sum
+    of generators.
     """
     if not isinstance(P, DiscretePolymatroid):
         return graded_generators(u + (1,) for u in P.vectors)
+    G = graded_generators(u + (1,) for u in P.points)
+    if not rank_table_fits(P.n + 1, len(P.bases)):
+        return G
     rho = rank_function(P.base_set)
-    lifted = RankFunction(P.n + 1, rho.values + (P.rank,) * (1 << P.n))
-    return replace(graded_generators(u + (1,) for u in P.points), rank=lifted)
+    return replace(G, _rank=RankFunction(P.n + 1, rho.values + (P.rank,) * (1 << P.n)))
 
 
 def base_ring_generators(B: BaseSet) -> GradedGenerators:
     """The bases themselves; their equal modulus plays the role of the
-    homogenizing coordinate.
-
-    The rank is kept only when B is proved to be the base set of the
-    polymatroid of rho = rank_function(B): rho is a rank function, and it
-    has exactly |B| integer bases (B is always among them).
+    homogenizing coordinate.  The rank is kept when
+    :func:`base_set_rank` proves B a polymatroid's base set.
     """
     G = graded_generators(B.vectors)
-    rho = rank_function(B)
-    if validate_rank_function(rho) and _count_bases(rho, 1, len(B)) == len(B):
-        return replace(G, rank=rho)
-    return G
+    rho = base_set_rank(B)
+    return G if rho is None else replace(G, _rank=rho)
 
 
 def _packer(gens, t_max: int):
@@ -130,70 +134,6 @@ def _packer(gens, t_max: int):
     return pack, [pack(g) for g in sorted(gens)]
 
 
-def _count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
-    """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
-    and |u| = t*rho([n]).
-
-    A depth-first search fixes the first n - 2 coordinates, keeping the
-    subset sums x(A) of the fixed prefix.  Coordinate k ranges over the
-    interval left by u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
-    t*rho([n] - A) on the subsets A of [k] holding k.  The last two
-    coordinates have a fixed sum, so each full prefix adds the length of
-    one interval, and the prefixes that differ only in coordinate n - 2
-    are summed in one loop from four minima over the shorter prefix.
-    Every inequality is checked on the way, so the count does not rest
-    on how much the prefix bounds prune.  For a polymatroid rank
-    function they describe the projection of the base polytope, so every
-    prefix extends to a base and no more prefixes than bases are
-    visited.  Returns None, before doing their work, when more than
-    ``limit`` full prefixes are due.  No point is stored.
-    """
-    n = rho.n
-    r = [t * v for v in rho.values]
-    total = r[-1]
-    if n == 1:
-        return 1
-    if n == 2:
-        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    full = (1 << n) - 1
-    low = [total - r[full ^ mask] for mask in range(1 << n)]
-    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one searched
-    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the full prefix
-    down = r[4 * last : 6 * last]  # r(A + {n})
-    sums = [0] * last
-    count = 0
-    prefixes = 0
-
-    def search(bit: int) -> bool:
-        nonlocal count, prefixes
-        below = sums[:bit]
-        hi = min(map(sub, r[bit : 2 * bit], below))
-        lo = max(0, max(map(sub, low[bit : 2 * bit], below)))
-        if bit < last:
-            for v in range(lo, hi + 1):
-                sums[bit : 2 * bit] = [x + v for x in below]
-                if not search(2 * bit):
-                    return False
-            return True
-        prefixes += max(0, hi - lo + 1)
-        if prefixes > limit:
-            return False
-        # with v in coordinate n - 2 and head - v left for the last two,
-        # coordinate n - 1 ranges over [max(floor, gap - v), min(ceil, top - v)]
-        head = total - below[-1]
-        ceil = min(map(sub, up[:bit], below))
-        top = min(head, min(map(sub, up[bit:], below)))
-        floor = max(0, head - min(map(sub, down[bit:], below)))
-        gap = head - min(map(sub, down[:bit], below))
-        for v in range(lo, hi + 1):
-            width = min(ceil, top - v) - max(floor, gap - v) + 1
-            if width > 0:
-                count += width
-        return True
-
-    return count if search(1) else None
-
-
 def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     """Number of distinct sums of t generators, for t = 0 .. t_max.
 
@@ -207,7 +147,7 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
         cap = max_points()
         values = []
         for t in range(t_max + 1):
-            count = _count_bases(G.rank, t, cap)
+            count = count_bases(G.rank, t, cap)
             if count is None:
                 raise SizeCapExceeded(
                     f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
@@ -282,12 +222,10 @@ def is_gorenstein_hstar(G: GradedGenerators) -> bool:
 
 def base_ring_gorenstein(B: BaseSet) -> bool:
     """Gorenstein verdict for the base ring via the h* palindrome."""
-    G = base_ring_generators(B)
-    if G.rank is None:
-        verdict = is_base_set(B)
-        if not verdict:
-            raise ValueError(f"not a valid base set: witness {verdict.witness}")
-    return is_gorenstein_hstar(G)
+    verdict = is_base_set(B)
+    if not verdict:
+        raise ValueError(f"not a valid base set: witness {verdict.witness}")
+    return is_gorenstein_hstar(base_ring_generators(B))
 
 
 # --- normality as a saturation check ----------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     as_vector,
     check_cap,
     eval_on_subset,
+    max_points,
     modulus,
     sorted_vectors,
     subsets,
@@ -233,12 +235,16 @@ def bases(P: DiscretePolymatroid) -> BaseSet:
 
 
 def is_base_set(B: BaseSet) -> Verdict:
-    """One-sided exchange: every deficit coordinate admits a repair swap.
+    """Holds exactly when B is the base set of a discrete polymatroid.
 
-    Holds exactly when B is the base set of a discrete polymatroid.
+    Decided by :func:`base_set_rank` where the rank table is cheap; the
+    one-sided exchange scan (every deficit coordinate admits a repair
+    swap) decides the rest and finds the witness of a refusal.
     Witness: (u, v, i) with u(i) > v(i) but no j with u(j) < v(j) and
     u - e_i + e_j in B.
     """
+    if base_set_rank(B) is not None:
+        return Verdict(True)
     vs = B.vectors
     ordered = sorted_vectors(vs)
     n = B.n
@@ -259,6 +265,22 @@ def is_base_set(B: BaseSet) -> Verdict:
                     if not found:
                         return Verdict(False, (u, v, i + 1))
     return Verdict(True)
+
+
+def base_set_rank(B: BaseSet) -> RankFunction | None:
+    """rank_function(B) when it proves B the base set of its polymatroid.
+
+    B is the base set of a discrete polymatroid exactly when rho =
+    rank_function(B) is a rank function with |B| integer bases (B is
+    always among them).  None when the proof fails, and when the rank
+    table costs more than :func:`rank_table_fits` allows.
+    """
+    if not rank_table_fits(B.n, len(B)):
+        return None
+    rho = rank_function(B)
+    if validate_rank_function(rho) and count_bases(rho, 1, len(B)) == len(B):
+        return rho
+    return None
 
 
 # --- rank functions ---------------------------------------------------------
@@ -314,6 +336,81 @@ def validate_rank_function(rho: RankFunction) -> Verdict:
                 if vals[mask | bi] + vals[mask | bj] < vals[mask | bi | bj] + vals[mask]:
                     return Verdict(False, ("submodular", mask | bi, mask | bj))
     return Verdict(True)
+
+
+def rank_table_fits(n: int, count: int) -> bool:
+    """Whether a rank table on [n] built from count vectors is cheap.
+
+    Building it takes count passes over its 2^n entries and validating
+    it about n*n more; both stay within the size cap.  Larger ground sets
+    keep to methods whose work grows with the vectors, not with 2^n.
+    """
+    cap = max_points()
+    return n < cap.bit_length() and (count + n * n) << n <= cap
+
+
+def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
+    """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
+    and |u| = t*rho([n]).
+
+    A depth-first search fixes the first n - 2 coordinates, keeping the
+    subset sums x(A) of the fixed prefix.  Coordinate k ranges over the
+    interval left by u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
+    t*rho([n] - A) on the subsets A of [k] holding k.  The last two
+    coordinates have a fixed sum, so each full prefix adds the length of
+    one interval, and the prefixes that differ only in coordinate n - 2
+    are summed in one loop from four minima over the shorter prefix.
+    Every inequality is checked on the way, so the count does not rest
+    on how much the prefix bounds prune.  For a polymatroid rank
+    function they describe the projection of the base polytope, so every
+    prefix extends to a base and no more prefixes than bases are
+    visited.  Returns None, before doing their work, when more than
+    ``limit`` full prefixes are due.  No point is stored.
+    """
+    n = rho.n
+    r = [t * v for v in rho.values]
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    full = (1 << n) - 1
+    low = [total - r[full ^ mask] for mask in range(1 << n)]
+    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one searched
+    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the full prefix
+    down = r[4 * last : 6 * last]  # r(A + {n})
+    sums = [0] * last
+    count = 0
+    prefixes = 0
+
+    def search(bit: int) -> bool:
+        nonlocal count, prefixes
+        below = sums[:bit]
+        hi = min(map(sub, r[bit : 2 * bit], below))
+        lo = max(0, max(map(sub, low[bit : 2 * bit], below)))
+        if bit < last:
+            for v in range(lo, hi + 1):
+                sums[bit : 2 * bit] = [x + v for x in below]
+                if not search(2 * bit):
+                    return False
+            return True
+        prefixes += max(0, hi - lo + 1)
+        if prefixes > limit:
+            return False
+        # with v in coordinate n - 2 and head - v left for the last two,
+        # coordinate n - 1 ranges over [max(floor, gap - v), min(ceil, top - v)]
+        head = total - below[-1]
+        ceil = min(map(sub, up[:bit], below))
+        top = min(head, min(map(sub, up[bit:], below)))
+        floor = max(0, head - min(map(sub, down[bit:], below)))
+        gap = head - min(map(sub, down[:bit], below))
+        for v in range(lo, hi + 1):
+            width = min(ceil, top - v) - max(floor, gap - v) + 1
+            if width > 0:
+                count += width
+        return True
+
+    return count if search(1) else None
 
 
 def membership(rho: RankFunction, u: Vector) -> bool:

@@ -126,13 +126,42 @@ def test_rank_kept_only_for_polymatroids(stable_five, stable_five_set):
 
 
 def test_hilbert_cap_bounds_the_count(monkeypatch):
-    G = ehrhart_generators(cube(3, 3))
-    # the old level cap let H(3) = 220 through, and so does the prefix count
-    monkeypatch.setenv("POLYMAT_MAX_POINTS", "220")
-    assert hilbert_values(G, 3) == [1, 20, 84, 220]
-    monkeypatch.setenv("POLYMAT_MAX_POINTS", "10")
-    with pytest.raises(SizeCapExceeded, match="cap is 10"):
+    # the ten bases of modulus 3 on [3]; H(t) = C(3t + 2, 2), and the count
+    # visits 3t + 1 prefixes.  Its rank table costs (10 + 3*3) * 2^3 = 152.
+    B = veronese((3, 3, 3), 3)
+    closed_form = [comb(3 * t + 2, 2) for t in range(6)]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "160")
+    G = base_ring_generators(B)
+    assert G.rank is not None
+    assert hilbert_values(G, 5) == closed_form
+    # no point is stored, so degrees whose sumset would pass the cap are counted
+    assert hilbert_values(G, 53)[53] == comb(161, 2)
+    with pytest.raises(SizeCapExceeded, match="more than 160 prefixes, cap is 160"):
+        hilbert_values(G, 54)
+    # below the table's cost the sumset serves, under the old level cap
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
+    G = base_ring_generators(B)
+    assert G.rank is None
+    assert hilbert_values(G, 3) == closed_form[:4]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "40")
+    with pytest.raises(SizeCapExceeded, match="cap is 40"):
         hilbert_values(G, 3)
+
+
+def test_large_ground_sets_keep_the_sumset():
+    # a rank table on [24] or [25] would cost 2^24 entries and more; two
+    # generators need none of it
+    n = 24
+    e1, e2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    B = base_set([e1, e2])
+    G = base_ring_generators(B)
+    assert G.rank is None
+    assert hilbert_values(G, 2) == [1, 2, 3]
+    assert base_ring_gorenstein(B)
+    P = discrete_polymatroid(vector_set([(0,) * n, e1]))
+    G = ehrhart_generators(P)
+    assert G.rank is None
+    assert hilbert_values(G, 2) == [1, 2, 3]
 
 
 # --- h* vectors ----------------------------------------------------------------

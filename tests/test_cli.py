@@ -347,6 +347,28 @@ def test_hilbert_size_cap_exits_two(capsys, monkeypatch, simplex3_file):
     assert "cap is 10" in report["error"]
 
 
+def test_hilbert_cap_bounds_the_rank_count(capsys, monkeypatch, simplex3_file):
+    # the base ring's rank table fits a cap of 160; degree 54 visits 163 prefixes
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "160")
+    code, report = run(capsys, "hilbert", "--which", "base", "--terms", "54", simplex3_file)
+    assert code == 2
+    assert "more than 160 prefixes" in report["error"]
+
+
+def test_large_ground_set_documents(capsys, tmp_path):
+    n = 24
+    e1, e2 = [1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)
+    base_doc = write(tmp_path, "base.json", {"kind": "base-set", "n": n, "vectors": [e1, e2]})
+    point_doc = write(tmp_path, "points.json", {"kind": "vector-set", "n": n, "vectors": [[0] * n, e1]})
+    for which, path in (("base", base_doc), ("ehrhart", point_doc)):
+        code, report = run(capsys, "hilbert", "--which", which, "--terms", "2", path)
+        assert code == 0
+        assert report["result"]["values"] == [1, 2, 3]
+    code, report = run(capsys, "gorenstein", "--which", "base", base_doc)
+    assert code == 0
+    assert report["verdict"] is True
+
+
 def test_white_keeps_the_degree_cap(capsys, strong_five_file):
     code, report = run(capsys, "white", "--degree", "6", strong_five_file)
     assert code == 2

@@ -6,6 +6,7 @@ from polymat import (
     RankFunction,
     VectorSet,
     base_set,
+    base_set_rank,
     bases,
     contract,
     discrete_polymatroid,
@@ -106,6 +107,29 @@ def test_is_base_set_examples(borel_211, stable_five):
     u, v, i = verdict.witness
     assert (u, v, i) in oracles.base_exchange_failures(stable_five.vectors)
     assert is_base_set(base_set([(3, 1, 4)]))
+
+
+def test_base_set_proof_matches_exchange_scan(instance_pool, monkeypatch):
+    # each base set of the pool, and the same with one base removed
+    candidates = []
+    for _, P in instance_pool[:80]:
+        B = P.base_set
+        candidates.append(B)
+        if len(B) > 1:
+            candidates.append(base_set(B.vectors - {min(B.vectors)}))
+    expected = [not oracles.base_exchange_failures(B.vectors) for B in candidates]
+    assert 0 < sum(expected) < len(candidates)
+    for B, holds in zip(candidates, expected):
+        assert (base_set_rank(B) is not None) == holds
+        assert bool(is_base_set(B)) == holds
+    # with no rank table affordable the exchange scan decides alone
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "1")
+    for B, holds in zip(candidates, expected):
+        assert base_set_rank(B) is None
+        verdict = is_base_set(B)
+        assert bool(verdict) == holds
+        if not holds:
+            assert verdict.witness in oracles.base_exchange_failures(B.vectors)
 
 
 def test_rank_function_examples(four_bases):
