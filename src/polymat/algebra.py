@@ -22,18 +22,18 @@ Minkowski sumset serves only generators that carry no rank function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
 from math import comb
 
 from .core import (
     SizeCapExceeded,
     Verdict,
     as_vector,
+    box_points,
     check_cap,
-    eval_on_subset,
     max_points,
     modulus,
     subset_size,
+    subset_sums,
     subsets,
     unit,
 )
@@ -145,15 +145,7 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
         raise ValueError("t_max must be nonnegative")
     if G.rank is not None:
         cap = max_points()
-        values = []
-        for t in range(t_max + 1):
-            count = count_bases(G.rank, t, cap)
-            if count is None:
-                raise SizeCapExceeded(
-                    f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
-                )
-            values.append(count)
-        return values
+        return [_dilated_count(G.rank, t, cap) for t in range(t_max + 1)]
     values = [1]
     _, packed = _packer(G.gens, t_max)
     level = {0}
@@ -164,9 +156,20 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     return values
 
 
+def _dilated_count(rho: RankFunction, t: int, cap: int) -> int:
+    count = count_bases(rho, t, cap)
+    if count is None:
+        raise SizeCapExceeded(
+            f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
+        )
+    return count
+
+
 def hilbert_function(G: GradedGenerators, t: int) -> int:
     if t < 0:
         raise ValueError("degree must be nonnegative")
+    if G.rank is not None:
+        return _dilated_count(G.rank, t, max_points())
     return hilbert_values(G, t)[t]
 
 
@@ -231,33 +234,6 @@ def base_ring_gorenstein(B: BaseSet) -> bool:
 # --- normality as a saturation check ----------------------------------------
 
 
-def _box(lo: list[int], hi: list[int], total: int | None):
-    """Integer points of a coordinate box, optionally with a fixed sum."""
-    if total is None:
-        yield from product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        return
-    n = len(lo)
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_lo[k] = suffix_lo[k + 1] + lo[k]
-        suffix_hi[k] = suffix_hi[k + 1] + hi[k]
-    point = [0] * n
-
-    def rec(k: int, rest: int):
-        if k == n:
-            if rest == 0:
-                yield tuple(point)
-            return
-        low = max(lo[k], rest - suffix_hi[k + 1])
-        high = min(hi[k], rest - suffix_lo[k + 1])
-        for val in range(low, high + 1):
-            point[k] = val
-            yield from rec(k + 1, rest - val)
-
-    yield from rec(0, total)
-
-
 def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
     """Degree-by-degree saturation: every lattice point of the scaled
     hull lying in the right residue class must be a sum of generators.
@@ -279,7 +255,7 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
         lo = [t * min(g[c] for g in gens) for c in range(G.n)]
         hi = [t * max(g[c] for g in gens) for c in range(G.n)]
         anchor = tuple(t * a for a in G.origin)
-        for x in _box(lo, hi, t * shared if shared is not None else None):
+        for x in box_points(lo, hi, t * shared if shared is not None else None):
             checked += 1
             check_cap(checked, "normality box enumeration")
             if pack(x) in level:
@@ -391,8 +367,9 @@ def is_generic(P: DiscretePolymatroid) -> Verdict:
     if r != n - 1:
         return Verdict(False, ("G2", r))
     rho = rank_function(P.base_set)
+    sums = [subset_sums(u) for u in base_list]
     for mask in range(1, (1 << n) - 1):
-        face = [u for u in base_list if eval_on_subset(u, mask) == rho.values[mask]]
+        face = [u for u, s in zip(base_list, sums) if s[mask] == rho.values[mask]]
         fr = affine_rank(face)
         if fr != n - 2:
             return Verdict(False, ("G3", mask, fr))
@@ -428,15 +405,15 @@ def generic_gorenstein_rank(params: GenericGorensteinParams) -> RankFunction:
     n = len(alpha) + 1
     full = (1 << n) - 1
     last = 1 << (n - 1)
+    alpha_sums = subset_sums(alpha)
     values = [0] * (1 << n)
     for mask in range(1, 1 << n):
         if mask == full:
             values[mask] = params.d
         elif mask & last:
-            rest = (full ^ mask) & ~last
-            values[mask] = params.d - eval_on_subset(alpha, rest) + 1
+            values[mask] = params.d - alpha_sums[full ^ mask] + 1
         else:
-            values[mask] = eval_on_subset(alpha, mask) + 1
+            values[mask] = alpha_sums[mask] + 1
     rho = RankFunction(n, tuple(values))
     verdict = validate_rank_function(rho)
     if not verdict:

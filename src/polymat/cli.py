@@ -485,6 +485,8 @@ def main(argv=None) -> int:
         code = 1 if payload.get("verdict") is False else 0
     except (SchemaError, SizeCapExceeded, ValueError) as exc:
         code, payload = 2, {"error": str(exc)}
+    except Exception as exc:  # a fault still gets a JSON report and exit 2, never a traceback
+        code, payload = 2, {"error": f"internal error: {type(exc).__name__}: {exc}"}
     report = {"command": args.command, "version": __version__}
     report.update(payload)
     report["timing_ms"] = int((time.perf_counter() - started) * 1000)

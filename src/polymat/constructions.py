@@ -14,6 +14,7 @@ from .core import (
     Vector,
     Verdict,
     as_vector,
+    box_points,
     check_cap,
     modulus,
     subset_elements,
@@ -38,21 +39,7 @@ def veronese(caps: Iterable[int], d: int) -> BaseSet:
         raise ValueError("modulus must be nonnegative")
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
-    out: list[Vector] = []
-    point = [0] * len(s)
-
-    def rec(k: int, rest: int) -> None:
-        if k == len(s) - 1:
-            if rest <= s[k]:
-                point[k] = rest
-                out.append(tuple(point))
-            return
-        lo = max(0, rest - sum(s[k + 1 :]))
-        for val in range(lo, min(s[k], rest) + 1):
-            point[k] = val
-            rec(k + 1, rest - val)
-
-    rec(0, d)
+    out = list(box_points([0] * len(s), s, d))
     check_cap(len(out), "Veronese enumeration")
     return base_set(out)
 

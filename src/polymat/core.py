@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 Vector = tuple[int, ...]
 
@@ -118,6 +119,14 @@ def eval_on_subset(u: Vector, mask: int) -> int:
     return total
 
 
+def subset_sums(u: Vector) -> list[int]:
+    """u(A) for every subset A of [n], indexed by bitmask."""
+    sums = [0]
+    for e in u:
+        sums += [s + e for s in sums]
+    return sums
+
+
 def exchange_step(u: Vector, i: int, j: int) -> Vector:
     """u - e_i + e_j (1-based indices); requires u(i) > 0 and i != j."""
     n = len(u)
@@ -131,6 +140,37 @@ def exchange_step(u: Vector, i: int, j: int) -> Vector:
     w[i - 1] -= 1
     w[j - 1] += 1
     return tuple(w)
+
+
+def box_points(lo: list[int], hi: list[int], total: int | None = None) -> Iterator[Vector]:
+    """Integer points x with lo <= x <= hi, in lexicographic order; with a
+    total, only those whose entries add up to it, each made from the one
+    before, so no recursion limit bounds the number of coordinates."""
+    if total is None:
+        yield from product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        return
+    n = len(lo)
+    floor, ceil = [0] * (n + 1), [0] * (n + 1)  # least and most coordinates k.. add up to
+    for k in range(n - 1, -1, -1):
+        floor[k], ceil[k] = floor[k + 1] + lo[k], ceil[k + 1] + hi[k]
+    if not floor[0] <= total <= ceil[0]:
+        return
+    x = list(lo)
+    k, rest = 0, total
+    while True:
+        for c in range(k, n):  # the smallest completion: coordinates k.. adding up to rest
+            x[c] = max(lo[c], rest - ceil[c + 1])
+            rest -= x[c]
+        yield tuple(x)
+        # raise the last coordinate whose successors can give up one unit
+        for k in range(n - 1, -1, -1):
+            if x[k] < hi[k] and rest > floor[k + 1]:
+                break
+            rest += x[k]
+        else:
+            return
+        x[k] += 1
+        k, rest = k + 1, rest - 1
 
 
 # --- ground subsets as bitmasks -------------------------------------------

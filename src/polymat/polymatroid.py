@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from operator import sub
+from operator import le, sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -20,10 +20,10 @@ from .core import (
     Verdict,
     as_vector,
     check_cap,
-    eval_on_subset,
     max_points,
     modulus,
     sorted_vectors,
+    subset_sums,
     subsets,
     zero,
 )
@@ -128,8 +128,9 @@ def base_set(vectors: Iterable, n: int | None = None) -> BaseSet:
 
 
 def rank_function_from_values(values: Iterable[int], n: int) -> RankFunction:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"ground set size must be a nonnegative integer, got {n!r}")
+    # n = 0 is refused like the empty vector, which no base set can hold
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"ground set size must be a positive integer, got {n!r}")
     vals = tuple(values)
     # compares the length with 2^n without building 2^n, which a huge n makes costly
     if len(vals) & (len(vals) - 1) or len(vals).bit_length() != n + 1:
@@ -168,7 +169,10 @@ def is_discrete_polymatroid(S: VectorSet) -> Verdict:
 
     Witnesses: ("subvector", u, v) with v an immediate subvector of u
     missing from S, or ("exchange", u, v) for a pair admitting no
-    augmentation step.
+    augmentation step; u and then v lexicographically smallest.  In a
+    downward-closed S, if u fails against v then also against each v'
+    with u ^ v <= v' <= v and |v'| = |u| + 1, which is lexicographically
+    smaller than v unless equal to it, so that layer alone is scanned.
     """
     vs = S.vectors
     ordered = sorted_vectors(vs)
@@ -178,52 +182,24 @@ def is_discrete_polymatroid(S: VectorSet) -> Verdict:
                 v = u[:i] + (u[i] - 1,) + u[i + 1 :]
                 if v not in vs:
                     return Verdict(False, ("subvector", u, v))
-    for u in ordered:
-        mu = modulus(u)
-        for v in ordered:
-            if modulus(v) <= mu:
-                continue
-            if not any(u[i] < v[i] and u[:i] + (u[i] + 1,) + u[i + 1 :] in vs for i in range(S.n)):
-                return Verdict(False, ("exchange", u, v))
-    return Verdict(True)
-
-
-def _validate_layers(vs: frozenset, n: int) -> tuple | None:
-    """Fast whole-set equivalent of the polymatroid axioms.
-
-    Downward closure is checked one step at a time, and the exchange
-    axiom only between adjacent modulus layers; both reductions are
-    equivalent for the set as a whole since subvectors stay available.
-    Returns a violation tuple or None.
-    """
-    for u in vs:
-        for i in range(n):
-            if u[i] > 0:
-                v = u[:i] + (u[i] - 1,) + u[i + 1 :]
-                if v not in vs:
-                    return ("subvector", u, v)
     layers: dict[int, list] = {}
-    for u in vs:
+    for u in ordered:
         layers.setdefault(modulus(u), []).append(u)
-    for m, layer in sorted(layers.items()):
-        above = layers.get(m + 1)
-        if not above:
-            continue
-        for u in sorted(layer):
-            for v in sorted(above):
-                if not any(
-                    u[i] < v[i] and u[:i] + (u[i] + 1,) + u[i + 1 :] in vs for i in range(n)
-                ):
-                    return ("exchange", u, v)
-    return None
+    for u in ordered:
+        steps = [i for i in range(S.n) if u[:i] + (u[i] + 1,) + u[i + 1 :] in vs]
+        above = layers.get(modulus(u) + 1, ())
+        v = next((v for v in above if all(u[i] >= v[i] for i in steps)), None)
+        if v is not None:
+            return Verdict(False, ("exchange", u, v))
+    return Verdict(True)
 
 
 def discrete_polymatroid(S: VectorSet | Iterable) -> DiscretePolymatroid:
     """Validate a point set and package it with its rank and bases."""
     vs = S if isinstance(S, VectorSet) else vector_set(S)
-    violation = _validate_layers(vs.vectors, vs.n)
-    if violation is not None:
-        raise ValueError(f"not a discrete polymatroid: {violation}")
+    verdict = is_discrete_polymatroid(vs)
+    if not verdict:
+        raise ValueError(f"not a discrete polymatroid: {verdict.witness}")
     rank = max(modulus(u) for u in vs.vectors)
     maximal = frozenset(u for u in vs.vectors if modulus(u) == rank)
     return DiscretePolymatroid(vs.n, vs.vectors, rank, maximal)
@@ -245,25 +221,76 @@ def is_base_set(B: BaseSet) -> Verdict:
     """
     if base_set_rank(B) is not None:
         return Verdict(True)
-    vs = B.vectors
-    ordered = sorted_vectors(vs)
-    n = B.n
+    return _first_failure(B, _base_failure)
+
+
+def _base_failure(table: dict, u: Vector, v: Vector, down: list, up: int) -> tuple | None:
+    out = table[u][0]
+    return next(((u, v, i + 1) for i in down if not out[i] & up), None)
+
+
+# --- the swap table: which single swaps keep a base in B ------------------
+#
+# Every exchange scan is a quantifier over this table and the ordered pairs
+# of bases, so a base set's membership tests are made once per call.
+
+
+def _swap_entry(vs: frozenset, u: Vector) -> tuple:
+    """(out, into, step) for u in vs, indexed by 0-based i and j: step[i][j]
+    is u - e_i + e_j if it lies in vs, else None; out[i] is the bitmask of
+    the j with step[i][j] set, and into[i] that of the j with step[j][i]."""
+    n = len(u)
+    step = [[None] * n for _ in range(n)]
+    w = list(u)
+    for i in range(n):
+        if w[i]:
+            w[i] -= 1
+            for j in range(n):
+                if j != i:
+                    w[j] += 1
+                    if tuple(w) in vs:
+                        step[i][j] = tuple(w)
+                    w[j] -= 1
+            w[i] += 1
+    out = tuple(sum(1 << j for j in range(n) if step[i][j]) for i in range(n))
+    into = tuple(sum(1 << j for j in range(n) if step[j][i]) for i in range(n))
+    return out, into, step
+
+
+def _swap_table(B: BaseSet) -> dict:
+    return {u: _swap_entry(B.vectors, u) for u in B.vectors}
+
+
+def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
+    """The 0-based i with u(i) > v(i), ascending, and the bitmask of the j
+    with u(j) < v(j)."""
+    down = []
+    up = 0
+    k = 0
+    for a, b in zip(u, v):
+        if a > b:
+            down.append(k)
+        elif a < b:
+            up |= 1 << k
+        k += 1
+    return down, up
+
+
+def _first_failure(B: BaseSet, fails) -> Verdict:
+    """Scan the ordered pairs u != v of B lexicographically.
+
+    ``fails(table, u, v, down, up)`` gets the swap table and the deficits
+    of the pair and returns the pair's witness, or None; the first
+    witness refutes the property.
+    """
+    table = _swap_table(B)
+    ordered = sorted_vectors(B.vectors)
     for u in ordered:
         for v in ordered:
-            if u == v:
-                continue
-            for i in range(n):
-                if u[i] > v[i]:
-                    found = False
-                    base = u[:i] + (u[i] - 1,) + u[i + 1 :]
-                    for j in range(n):
-                        if u[j] < v[j]:
-                            w = base[:j] + (base[j] + 1,) + base[j + 1 :]
-                            if w in vs:
-                                found = True
-                                break
-                    if not found:
-                        return Verdict(False, (u, v, i + 1))
+            if u != v:
+                witness = fails(table, u, v, *_deficits(u, v))
+                if witness is not None:
+                    return Verdict(False, witness)
     return Verdict(True)
 
 
@@ -293,15 +320,10 @@ def rank_function(B: BaseSet) -> RankFunction:
 
 def _max_subset_sums(vectors, n: int) -> tuple:
     """For every subset A of [n] (by bitmask), the largest u(A) over the vectors."""
-    size = 1 << n
-    best = [0] * size
-    for u in vectors:
-        sums = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            sums[m] = sums[m ^ low] + u[low.bit_length() - 1]
-            if sums[m] > best[m]:
-                best[m] = sums[m]
+    best = [0] * (1 << n)
+    vectors = list(vectors)
+    for k in range(0, len(vectors), 64):  # a few vectors at a time bounds the memory
+        best = list(map(max, best, *map(subset_sums, vectors[k : k + 64])))
     return tuple(best)
 
 
@@ -417,38 +439,28 @@ def membership(rho: RankFunction, u: Vector) -> bool:
     """u lies in the polymatroid of rho iff u(A) <= rho(A) for every A."""
     if len(u) != rho.n:
         raise ValueError(f"dimension mismatch: vector of length {len(u)} vs ground set [{rho.n}]")
-    return all(eval_on_subset(u, mask) <= rho.values[mask] for mask in subsets(rho.n))
+    return all(map(le, subset_sums(u), rho.values))
 
 
 def _points_within(values: tuple, n: int) -> frozenset:
-    """All u >= 0 with u(A) <= values[A] for every mask A (DFS with pruning)."""
+    """All u >= 0 with u(A) <= values[A] for every mask A (DFS with pruning).
+
+    The search keeps the subset sums of the fixed prefix, so coordinate k
+    ranges up to the least values[A + {k}] - u(A) over the masks A below k.
+    """
     points: list = []
-    masks_by_top = [[m for m in range(1, 1 << n) if m.bit_length() - 1 == k] for k in range(n)]
     prefix = [0] * n
 
-    def rec(k: int) -> None:
+    def rec(k: int, sums: list) -> None:
         if k == n:
             points.append(tuple(prefix))
             check_cap(len(points), "polymatroid enumeration")
             return
-        for val in range(values[1 << k] + 1):
-            prefix[k] = val
-            ok = True
-            for m in masks_by_top[k]:
-                total = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    total += prefix[low.bit_length() - 1]
-                    mm ^= low
-                if total > values[m]:
-                    ok = False
-                    break
-            if ok:
-                rec(k + 1)
-        prefix[k] = 0
+        for x in range(min(map(sub, values[1 << k : 2 << k], sums)) + 1):
+            prefix[k] = x
+            rec(k + 1, sums + [s + x for s in sums])
 
-    rec(0)
+    rec(0, [0])
     return frozenset(points)
 
 

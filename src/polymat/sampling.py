@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .core import subsets
+from .core import subset_sums, subsets
 from .polymatroid import DiscretePolymatroid, RankFunction, polymatroid_from_rank
 
 
@@ -24,16 +24,7 @@ def _capped_cardinality(n: int, mask: int, cap: int) -> list[int]:
 
 
 def _capped_modular(n: int, weights: list[int], cap: int) -> list[int]:
-    vals = []
-    for x in subsets(n):
-        total = 0
-        m = x
-        while m:
-            low = m & -m
-            total += weights[low.bit_length() - 1]
-            m ^= low
-        vals.append(min(total, cap))
-    return vals
+    return [min(total, cap) for total in subset_sums(weights)]
 
 
 def random_rank_function(

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .core import SizeCapExceeded, Vector, Verdict, check_cap, exchange_step
-from .polymatroid import BaseSet, is_base_set
+from .core import SizeCapExceeded, Vector, Verdict, check_cap
+from .polymatroid import BaseSet, _deficits, _swap_table, is_base_set
 
 Multiset = tuple[Vector, ...]
 
@@ -67,28 +67,38 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
     if not verdict:
         raise ValueError(f"not a valid base set: witness {verdict.witness}")
     out: dict = {}
-    ordered = sorted(B.vectors)
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            u, v = ordered[a], ordered[b]
-            for i in range(B.n):
-                if u[i] <= v[i]:
-                    continue
-                for j in range(B.n):
-                    if u[j] >= v[j]:
-                        continue
-                    u2 = exchange_step(u, i + 1, j + 1)
-                    v2 = exchange_step(v, j + 1, i + 1)
-                    if u2 not in B.vectors or v2 not in B.vectors:
-                        continue
-                    left = (u, v)
-                    right = tuple(sorted((u2, v2)))
-                    if left == right:
-                        continue
-                    key = tuple(sorted((left, right)))
-                    if key not in out:
-                        out[key] = ExchangeRelation(left, right, i + 1, j + 1)
+    for left, right, i, j in _symmetric_moves(B):
+        key = tuple(sorted((left, right)))
+        if key not in out:
+            out[key] = ExchangeRelation(left, right, i, j)
     return tuple(out[k] for k in sorted(out))
+
+
+def _symmetric_moves(B: BaseSet):
+    """Every nontrivial symmetric exchange of B, once.
+
+    Yields ((u, v), (u', v'), i, j) for bases u < v and i, j with u(i) >
+    v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j + e_i in B, and
+    {u', v'} != {u, v} (1-based i, j; the new pair sorted), in the order
+    of u, v, i and j.  The exchange on v at i' with u at j' is this one
+    at (j', i'), so pairs u < v reach every exchange.
+    """
+    table = _swap_table(B)
+    ordered = sorted(B.vectors)
+    for a, u in enumerate(ordered):
+        for v in ordered[a + 1 :]:
+            down, up = _deficits(u, v)
+            out, _, steps_u = table[u]
+            _, into, steps_v = table[v]
+            for i in down:
+                js = out[i] & up & into[i]
+                while js:
+                    j = (js & -js).bit_length() - 1
+                    js &= js - 1
+                    x, y = steps_u[i][j], steps_v[j][i]
+                    pair = (x, y) if x < y else (y, x)
+                    if pair != (u, v):
+                        yield (u, v), pair, i + 1, j + 1
 
 
 def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None:
@@ -119,26 +129,8 @@ def fibers(B: BaseSet, m: int, *, max_base_size: int = 64, max_degree: int = 4) 
 def _pair_moves(B: BaseSet) -> dict:
     """Replacements {u,v} -> {u',v'} realizable by one symmetric exchange."""
     table: dict[tuple[Vector, Vector], set] = {}
-    ordered = sorted(B.vectors)
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            u, v = ordered[a], ordered[b]
-            repl = set()
-            for i in range(B.n):
-                hi, lo = (u, v) if u[i] > v[i] else (v, u)
-                if hi[i] <= lo[i]:
-                    continue
-                for j in range(B.n):
-                    if hi[j] >= lo[j]:
-                        continue
-                    h2 = exchange_step(hi, i + 1, j + 1)
-                    l2 = exchange_step(lo, j + 1, i + 1)
-                    if h2 in B.vectors and l2 in B.vectors:
-                        pair = tuple(sorted((h2, l2)))
-                        if pair != (u, v):
-                            repl.add(pair)
-            if repl:
-                table[(u, v)] = repl
+    for left, right, _, _ in _symmetric_moves(B):
+        table.setdefault(left, set()).add(right)
     return table
 
 

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from polymat import base_set, random_polymatroid, vector_set
+from polymat import base_set, random_polymatroid, vector_set, veronese
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -74,3 +74,24 @@ def positive_pool():
         rho = random_rank_function(rng, n, 4, ensure_positive=True)
         pool.append((rho, polymatroid_from_rank(rho)))
     return pool
+
+
+@pytest.fixture(scope="session")
+def scan_pool(instance_pool):
+    """Base sets and non-base sets for the exchange scans: the pool's base
+    sets with at most 40 bases, each again without its middle base, the
+    strongly stable five, and 100 seeded random subsets of Veronese sets."""
+    out = []
+    for _, P in instance_pool:
+        members = sorted(P.bases)
+        if len(members) <= 40:
+            out.append(members)
+            if len(members) > 1:
+                out.append(members[: len(members) // 2] + members[len(members) // 2 + 1 :])
+    out.append(STABLE_FIVE)
+    rng = Random(7)
+    for _ in range(100):
+        caps = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        members = sorted(veronese(caps, rng.randint(1, sum(caps))).vectors)
+        out.append(rng.sample(members, rng.randint(1, len(members))))
+    return [base_set(vs) for vs in out]

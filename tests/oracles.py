@@ -201,3 +201,76 @@ def layer_count(n, d):
     from math import comb
 
     return comb(n + d - 1, n - 1)
+
+
+def first_polymatroid_violation(vectors):
+    """The first axiom violation: a missing immediate subvector of the
+    lexicographically first u, else the lexicographically first pair
+    u, v with |v| > |u| and no u + e_i in the set below u v v."""
+    vs = set(vectors)
+    for u in sorted(vs):
+        for i in range(len(u)):
+            if u[i] > 0:
+                w = list(u)
+                w[i] -= 1
+                if tuple(w) not in vs:
+                    return ("subvector", u, tuple(w))
+    for u in sorted(vs):
+        for v in sorted(vs):
+            if sum(v) > sum(u):
+                steps = []
+                for i in range(len(u)):
+                    w = list(u)
+                    w[i] += 1
+                    if u[i] < v[i] and tuple(w) in vs:
+                        steps.append(i)
+                if not steps:
+                    return ("exchange", u, v)
+    return None
+
+
+def symmetric_swaps(vectors, u, v):
+    """The pairs {u - e_i + e_j, v - e_j + e_i} inside the set, over every
+    i, j with u(i) > v(i) and u(j) < v(j), as sorted tuples."""
+    vs = set(vectors)
+    out = set()
+    n = len(u)
+    for i in range(n):
+        for j in range(n):
+            if u[i] > v[i] and u[j] < v[j]:
+                a, b = swap(u, i, j), swap(v, j, i)
+                if a in vs and b in vs:
+                    out.add(tuple(sorted((a, b))))
+    return out
+
+
+def symmetric_relations(vectors):
+    """Nontrivial exchange relations as sorted pairs of sorted pairs."""
+    out = set()
+    for u in sorted(set(vectors)):
+        for v in sorted(set(vectors)):
+            if u != v:
+                left = tuple(sorted((u, v)))
+                for right in symmetric_swaps(vectors, u, v):
+                    if right != left:
+                        out.add(tuple(sorted((left, right))))
+    return out
+
+
+def fiber_edges(vectors, members):
+    """Edges {a, b} between multisets of one fiber where b replaces one
+    pair of a by a symmetric swap of it."""
+    inside = set(members)
+    out = set()
+    for a in members:
+        for p in range(len(a)):
+            for q in range(len(a)):
+                if p == q:
+                    continue
+                rest = [a[k] for k in range(len(a)) if k not in (p, q)]
+                for pair in symmetric_swaps(vectors, a[p], a[q]):
+                    b = tuple(sorted(rest + list(pair)))
+                    if b != a:
+                        assert b in inside
+                        out.add(tuple(sorted((a, b))))
+    return out

@@ -148,6 +148,29 @@ def test_hilbert_cap_bounds_the_count(monkeypatch):
         hilbert_values(G, 3)
 
 
+def test_hilbert_function_counts_one_degree(monkeypatch):
+    import polymat.algebra as algebra
+
+    B = veronese((3, 3, 3), 3)
+    G = base_ring_generators(B)
+    assert G.rank is not None
+    degrees = []
+    count_bases = algebra.count_bases
+
+    def counting(rho, t, limit):
+        degrees.append(t)
+        return count_bases(rho, t, limit)
+
+    monkeypatch.setattr(algebra, "count_bases", counting)
+    assert hilbert_function(G, 8) == comb(26, 2)
+    assert degrees == [8]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "160")
+    G = base_ring_generators(B)
+    with pytest.raises(SizeCapExceeded, match="degree 54 needs more than 160 prefixes"):
+        hilbert_function(G, 54)
+    assert degrees[-1] == 54
+
+
 def test_large_ground_sets_keep_the_sumset():
     # a rank table on [24] or [25] would cost 2^24 entries and more; two
     # generators need none of it

@@ -385,6 +385,7 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         (["rank"], {"kind": "rank-function", "n": 1, "values": [False, True]}),
         (["rank"], {"kind": "rank-function", "n": 20000, "values": [0, 1]}),
         (["rank"], {"kind": "rank-function", "n": -1, "values": [0]}),
+        (["bases"], {"kind": "rank-function", "n": 0, "values": [0]}),
         (
             ["construct", "sublattice"],
             {"kind": "sublattice", "n": 1, "members": [[], [1]], "mu": [0, [1]]},
@@ -401,6 +402,7 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         "values-booleans",
         "huge-n",
         "negative-n",
+        "n-zero",
         "non-integer-mu",
         "sublattice-without-file",
         "transversal-without-file",
@@ -413,6 +415,26 @@ def test_malformed_input_exits_two(capsys, tmp_path, argv, doc):
     code, report = run(capsys, *argv)
     assert code == 2
     assert "error" in report
+
+
+def test_construct_veronese_on_many_coordinates(capsys):
+    # one coordinate per level of the box search: 1,200 would pass the recursion limit
+    code, report = run(capsys, "construct", "veronese", "--caps", ",".join(["1"] * 1200), "--rank", "1")
+    assert code == 0
+    vectors = report["result"]["vectors"]
+    assert len(vectors) == 1200
+    assert all(sum(v) == 1 and len(v) == 1200 for v in vectors)
+
+
+def test_unexpected_exception_exits_two(capsys, monkeypatch, strong_five_file):
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr("polymat.cli._cmd_bases", broken)
+    code, report = run(capsys, "bases", strong_five_file)
+    assert code == 2
+    assert report["error"] == "internal error: RuntimeError: handler fault"
+    assert report["command"] == "bases"
 
 
 # --- the exit-code contract on random documents -------------------------------------

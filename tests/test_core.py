@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,7 @@ from polymat import (
     unit,
     zero,
 )
-from polymat.core import check_cap
+from polymat.core import box_points, check_cap, subset_sums
 
 vectors = st.lists(st.integers(0, 6), min_size=1, max_size=6).map(tuple)
 
@@ -113,6 +115,34 @@ def test_eval_additive_on_masks(u, a, b):
     assert eval_on_subset(u, a | b) + eval_on_subset(u, a & b) == eval_on_subset(
         u, a
     ) + eval_on_subset(u, b)
+
+
+@given(vectors)
+def test_subset_sums_agree_with_eval(u):
+    sums = subset_sums(u)
+    assert len(sums) == 1 << len(u)
+    assert sums == [eval_on_subset(u, mask) for mask in range(1 << len(u))]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+    st.none() | st.integers(0, 12),
+)
+def test_box_points_lexicographic(bounds, total):
+    lo = [min(a, b) for a, b in bounds]
+    hi = [max(a, b) for a, b in bounds]
+    boxed = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    expected = [x for x in boxed if total is None or sum(x) == total]
+    assert list(box_points(lo, hi, total)) == expected
+
+
+def test_box_points_on_many_coordinates():
+    # more coordinates than the recursion limit allows levels
+    n = 1500
+    points = list(box_points([0] * n, [1] * n, 1))
+    assert len(points) == n
+    assert points[0] == (0,) * (n - 1) + (1,) and points[-1] == (1,) + (0,) * (n - 1)
+    assert list(box_points([], [], 0)) == [()] and list(box_points([], [], 1)) == []
 
 
 def test_eval_rejects_out_of_range_mask():

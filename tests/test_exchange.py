@@ -104,6 +104,44 @@ def test_modes_agree_with_oracles(four_bases, borel_211, stable_five, borel_0101
         )
 
 
+def test_witnesses_match_oracles(scan_pool):
+    first_failures = {
+        ExchangeMode.WEAK: oracles.weak_failures,
+        ExchangeMode.BASE: oracles.base_exchange_failures,
+        ExchangeMode.STRONG: oracles.strong_failures,
+        ExchangeMode.SYMMETRIC: oracles.symmetric_failures,
+    }
+    refused = set()
+    for B in scan_pool:
+        for mode, failures in first_failures.items():
+            expected = failures(B.vectors)
+            verdict = exchange_property(B, mode)
+            assert verdict.holds == (not expected), (sorted(B.vectors), mode)
+            assert verdict.witness == (expected[0] if expected else None), (sorted(B.vectors), mode)
+            if expected:
+                refused.add(mode)
+    # every mode's refusal path is exercised
+    assert refused == set(ExchangeMode)
+
+
+def test_symmetric_witness_matches_oracle(scan_pool):
+    for B in scan_pool:
+        if len(B) > 12:
+            continue
+        for u in sorted(B.vectors):
+            for v in sorted(B.vectors):
+                for i in range(B.n):
+                    if u[i] > v[i]:
+                        js = [
+                            j + 1
+                            for j in range(B.n)
+                            if u[j] < v[j]
+                            and oracles.swap(u, i, j) in B.vectors
+                            and oracles.swap(v, j, i) in B.vectors
+                        ]
+                        assert symmetric_exchange_witness(B, u, v, i + 1) == min(js, default=None)
+
+
 # --- symmetric exchange -------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import re
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +89,30 @@ def test_oracle_agreement_on_non_closed_sets():
         assert bool(is_discrete_polymatroid(closure)) == oracles.is_downward_closed_polymatroid(
             closure.vectors
         )
+
+
+def test_validator_names_the_first_violation():
+    # downward-closed sets of a few seeded random vectors, most of which
+    # fail the exchange axiom, and the same sets missing one random point
+    rng = Random(5)
+    kinds = []
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        vecs = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        closure = downward_closure(vector_set(vecs)).vectors
+        for points in (closure, closure - {rng.choice(sorted(closure))}):
+            if not points:
+                continue
+            expected = oracles.first_polymatroid_violation(points)
+            verdict = is_discrete_polymatroid(VectorSet(n, points))
+            assert verdict.witness == expected
+            if expected is None:
+                assert discrete_polymatroid(VectorSet(n, points)).points == points
+            else:
+                kinds.append(expected[0])
+                with pytest.raises(ValueError, match=rf"not a discrete polymatroid: {re.escape(str(expected))}$"):
+                    discrete_polymatroid(VectorSet(n, points))
+    assert {"subvector", "exchange"} <= set(kinds)
 
 
 def test_bases_examples():
@@ -308,7 +335,7 @@ def test_rank_function_from_values_validation():
         rank_function_from_values([False, True], 1)
     with pytest.raises(ValueError, match=r"needs 2\^20000 values, got 2"):
         rank_function_from_values([0, 1], 20000)
-    for n in (-1, True, 1.0):
+    for n in (-1, 0, True, 1.0):
         with pytest.raises(ValueError, match="ground set size"):
             rank_function_from_values([0, 1], n)
     rho = rank_function_from_values([0, 2, 2, 3], 2)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from polymat import (
     ExchangeMode,
     SizeCapExceeded,
@@ -8,6 +9,7 @@ from polymat import (
     exchange_property,
     fiber_graph,
     fibers,
+    is_base_set,
     rewrite_balanced,
     symmetric_exchange_relations,
     veronese,
@@ -35,6 +37,29 @@ def test_relations_example(four_bases):
 def test_relations_reject_invalid_base_set(stable_five):
     with pytest.raises(ValueError):
         symmetric_exchange_relations(stable_five)
+
+
+def test_relations_and_fiber_edges_match_brute_force(scan_pool):
+    checked = 0
+    for B in scan_pool:
+        if not is_base_set(B):
+            continue
+        rels = symmetric_exchange_relations(B)
+        keys = [tuple(sorted((r.left, r.right))) for r in rels]
+        assert keys == sorted(set(keys))
+        assert set(keys) == oracles.symmetric_relations(B.vectors)
+        for r in rels:
+            u, v = r.left
+            i, j = r.i - 1, r.j - 1
+            assert u < v and u[i] > v[i] and u[j] < v[j]
+            assert tuple(sorted((oracles.swap(u, i, j), oracles.swap(v, j, i)))) == r.right
+        if len(B) <= 12:
+            for m in (2, 3):
+                for f in fibers(B, m):
+                    graph = fiber_graph(B, f)
+                    assert set(graph.edges) == oracles.fiber_edges(B.vectors, f.members)
+                    checked += len(graph.edges)
+    assert checked > 0
 
 
 def test_fibers_degree_one(borel_211):
