@@ -7,11 +7,11 @@ deficit coordinate has some repair swap) implies weak (some swap exists
 per pair).  The symmetric property additionally requires the mirrored
 swap on the partner vector; every genuine base set satisfies it.
 
-Each reads one swap table per call, listing for every base u and index i
-the j with u - e_i + e_j in B, and quantifies over the ordered pairs u, v
-and the i with u(i) > v(i) and j with u(j) < v(j): weak asks for some
-(i, j), base for some j at every i, strong for every (i, j), symmetric
-for some j at every i with v - e_j + e_i in B too.
+Each scan quantifies over the ordered pairs u, v and the i with u(i) >
+v(i) and j with u(j) < v(j): weak asks for some (i, j) with u - e_i + e_j
+in B, base for some such j at every i, strong for every (i, j), symmetric
+for some j at every i with v - e_j + e_i in B too.  The swaps of each base
+at each i are tested once per call, on the coordinates where bases differ.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Vector, Verdict, exchange_step, modulus, sorted_vectors
-from .polymatroid import BaseSet, _deficits, _first_failure, _swap_entry, is_base_set
+from .polymatroid import BaseSet, _exchange_failure, is_base_set
 
 
 class ExchangeMode(Enum):
@@ -40,30 +40,9 @@ def exchange_property(B: BaseSet, mode: ExchangeMode) -> Verdict:
         return is_base_set(B)
     if mode is ExchangeMode.SYMMETRIC:
         return verify_symmetric_exchange(B)
-    if mode is ExchangeMode.WEAK:
-        return _first_failure(B, _weak_failure)
-    if mode is ExchangeMode.STRONG:
-        return _first_failure(B, _strong_failure)
+    if mode in (ExchangeMode.WEAK, ExchangeMode.STRONG):
+        return _exchange_failure(B, mode.value)
     raise ValueError(f"unknown exchange mode {mode!r}")
-
-
-def _weak_failure(table: dict, u: Vector, v: Vector, down: list, up: int) -> tuple | None:
-    out = table[u][0]
-    return None if any(out[i] & up for i in down) else (u, v)
-
-
-def _strong_failure(table: dict, u: Vector, v: Vector, down: list, up: int) -> tuple | None:
-    out = table[u][0]
-    for i in down:
-        missing = up & ~out[i]
-        if missing:
-            return u, v, i + 1, (missing & -missing).bit_length()
-    return None
-
-
-def _symmetric_failure(table: dict, u: Vector, v: Vector, down: list, up: int) -> tuple | None:
-    out, into = table[u][0], table[v][1]
-    return next(((u, v, i + 1) for i in down if not out[i] & up & into[i]), None)
 
 
 def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int | None:
@@ -79,14 +58,16 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
         raise ValueError(f"index {i} outside ground set [{B.n}]")
     if u[i - 1] <= v[i - 1]:
         raise ValueError(f"need u({i}) > v({i}), got {u[i - 1]} <= {v[i - 1]}")
-    vs = B.vectors
-    js = _swap_entry(vs, u)[0][i - 1] & _deficits(u, v)[1] & _swap_entry(vs, v)[1][i - 1]
-    return (js & -js).bit_length() or None
+    for j in range(1, B.n + 1):
+        if u[j - 1] < v[j - 1]:
+            if exchange_step(u, i, j) in B.vectors and exchange_step(v, j, i) in B.vectors:
+                return j
+    return None
 
 
 def verify_symmetric_exchange(B: BaseSet) -> Verdict:
     """Every (u, v, i) with u(i) > v(i) must admit a two-sided swap."""
-    return _first_failure(B, _symmetric_failure)
+    return _exchange_failure(B, "symmetric")
 
 
 # --- sorting ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     Verdict,
     as_vector,
     check_cap,
+    exchange_step,
     max_points,
     modulus,
     sorted_vectors,
@@ -221,44 +222,42 @@ def is_base_set(B: BaseSet) -> Verdict:
     """
     if base_set_rank(B) is not None:
         return Verdict(True)
-    return _first_failure(B, _base_failure)
+    return _exchange_failure(B, "base")
 
 
-def _base_failure(table: dict, u: Vector, v: Vector, down: list, up: int) -> tuple | None:
-    out = table[u][0]
-    return next(((u, v, i + 1) for i in down if not out[i] & up), None)
-
-
-# --- the swap table: which single swaps keep a base in B ------------------
+# --- single swaps: which u - e_i + e_j stay in B -----------------------------
 #
-# Every exchange scan is a quantifier over this table and the ordered pairs
-# of bases, so a base set's membership tests are made once per call.
+# Every exchange scan quantifies over the ordered pairs of bases and the
+# swaps below, and each base's swaps at each i are tested once per call.
 
 
-def _swap_entry(vs: frozenset, u: Vector) -> tuple:
-    """(out, into, step) for u in vs, indexed by 0-based i and j: step[i][j]
-    is u - e_i + e_j if it lies in vs, else None; out[i] is the bitmask of
-    the j with step[i][j] set, and into[i] that of the j with step[j][i]."""
-    n = len(u)
-    step = [[None] * n for _ in range(n)]
-    w = list(u)
-    for i in range(n):
-        if w[i]:
+def _swap_rows(vs: frozenset, ordered: tuple):
+    """row(a, i): the bitmask of the 0-based j with ordered[a] - e_i + e_j
+    in vs, for ordered[a](i) > 0.
+
+    All bases agree off the coordinates on which some two of them differ,
+    so only those take part in a swap.  A row is built when first read,
+    so a scan that stops early tests only the rows it reached.
+    """
+    vary = [k for k, col in enumerate(zip(*ordered)) if min(col) != max(col)]
+    rows = [{} for _ in ordered]
+
+    def row(a: int, i: int) -> int:
+        mask = rows[a].get(i)
+        if mask is None:
+            w = list(ordered[a])
             w[i] -= 1
-            for j in range(n):
+            mask = 0
+            for j in vary:
                 if j != i:
                     w[j] += 1
                     if tuple(w) in vs:
-                        step[i][j] = tuple(w)
+                        mask |= 1 << j
                     w[j] -= 1
-            w[i] += 1
-    out = tuple(sum(1 << j for j in range(n) if step[i][j]) for i in range(n))
-    into = tuple(sum(1 << j for j in range(n) if step[j][i]) for i in range(n))
-    return out, into, step
+            rows[a][i] = mask
+        return mask
 
-
-def _swap_table(B: BaseSet) -> dict:
-    return {u: _swap_entry(B.vectors, u) for u in B.vectors}
+    return row
 
 
 def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
@@ -276,22 +275,75 @@ def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
     return down, up
 
 
-def _first_failure(B: BaseSet, fails) -> Verdict:
-    """Scan the ordered pairs u != v of B lexicographically.
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    ``fails(table, u, v, down, up)`` gets the swap table and the deficits
-    of the pair and returns the pair's witness, or None; the first
-    witness refutes the property.
+
+def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
+    """First failure of an exchange property over the ordered pairs u != v
+    of B, lexicographically; mode is an ``ExchangeMode`` value.
+
+    With down the i where u(i) > v(i), up the j where u(j) < v(j) and
+    row(u, i) the j with u - e_i + e_j in B, a pair passes
+    weak when row(u, i) meets up for some i in down, witness (u, v);
+    base when it does for every i in down, witness (u, v, i);
+    strong when row(u, i) holds up for every i in down, witness (u, v, i, j)
+    with j the least missing; symmetric when every i in down has a j in
+    row(u, i) and up with i in row(v, j), witness (u, v, i).  Witness
+    indices are 1-based.
     """
-    table = _swap_table(B)
     ordered = sorted_vectors(B.vectors)
-    for u in ordered:
-        for v in ordered:
-            if u != v:
-                witness = fails(table, u, v, *_deficits(u, v))
-                if witness is not None:
-                    return Verdict(False, witness)
+    row = _swap_rows(B.vectors, ordered)
+    for a, u in enumerate(ordered):
+        for b, v in enumerate(ordered):
+            if a == b:
+                continue
+            down, up = _deficits(u, v)
+            if mode == "weak":
+                if not any(row(a, i) & up for i in down):
+                    return Verdict(False, (u, v))
+                continue
+            for i in down:
+                js = row(a, i) & up
+                if mode == "strong":
+                    if js != up:
+                        missing = up & ~js
+                        return Verdict(False, (u, v, i + 1, (missing & -missing).bit_length()))
+                elif mode == "symmetric":
+                    if not any(row(b, j) >> i & 1 for j in _bits(js)):
+                        return Verdict(False, (u, v, i + 1))
+                elif not js:
+                    return Verdict(False, (u, v, i + 1))
     return Verdict(True)
+
+
+def _symmetric_moves(B: BaseSet) -> Iterator[tuple]:
+    """Every nontrivial symmetric exchange of B, once.
+
+    Yields ((u, v), (u', v'), i, j) for bases u < v and i, j with u(i) >
+    v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j + e_i in B, and
+    {u', v'} != {u, v} (1-based i, j; the new pair sorted), in the order
+    of u, v, i and j.  The exchange on v at i' with u at j' is this one
+    at (j', i'), so pairs u < v reach every exchange.
+    """
+    ordered = sorted_vectors(B.vectors)
+    row = _swap_rows(B.vectors, ordered)
+    for a, u in enumerate(ordered):
+        for b in range(a + 1, len(ordered)):
+            v = ordered[b]
+            down, up = _deficits(u, v)
+            for i in down:
+                for j in _bits(row(a, i) & up):
+                    if row(b, j) >> i & 1:
+                        x = exchange_step(u, i + 1, j + 1)
+                        y = exchange_step(v, j + 1, i + 1)
+                        pair = (x, y) if x < y else (y, x)
+                        if pair != (u, v):
+                            yield (u, v), pair, i + 1, j + 1
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:
@@ -321,9 +373,8 @@ def rank_function(B: BaseSet) -> RankFunction:
 def _max_subset_sums(vectors, n: int) -> tuple:
     """For every subset A of [n] (by bitmask), the largest u(A) over the vectors."""
     best = [0] * (1 << n)
-    vectors = list(vectors)
-    for k in range(0, len(vectors), 64):  # a few vectors at a time bounds the memory
-        best = list(map(max, best, *map(subset_sums, vectors[k : k + 64])))
+    for u in vectors:
+        best = [a if a > b else b for a, b in zip(best, subset_sums(u))]
     return tuple(best)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .core import SizeCapExceeded, Vector, Verdict, check_cap
-from .polymatroid import BaseSet, _deficits, _swap_table, is_base_set
+from .polymatroid import BaseSet, _symmetric_moves, is_base_set
 
 Multiset = tuple[Vector, ...]
 
@@ -72,33 +72,6 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
         if key not in out:
             out[key] = ExchangeRelation(left, right, i, j)
     return tuple(out[k] for k in sorted(out))
-
-
-def _symmetric_moves(B: BaseSet):
-    """Every nontrivial symmetric exchange of B, once.
-
-    Yields ((u, v), (u', v'), i, j) for bases u < v and i, j with u(i) >
-    v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j + e_i in B, and
-    {u', v'} != {u, v} (1-based i, j; the new pair sorted), in the order
-    of u, v, i and j.  The exchange on v at i' with u at j' is this one
-    at (j', i'), so pairs u < v reach every exchange.
-    """
-    table = _swap_table(B)
-    ordered = sorted(B.vectors)
-    for a, u in enumerate(ordered):
-        for v in ordered[a + 1 :]:
-            down, up = _deficits(u, v)
-            out, _, steps_u = table[u]
-            _, into, steps_v = table[v]
-            for i in down:
-                js = out[i] & up & into[i]
-                while js:
-                    j = (js & -js).bit_length() - 1
-                    js &= js - 1
-                    x, y = steps_u[i][j], steps_v[j][i]
-                    pair = (x, y) if x < y else (y, x)
-                    if pair != (u, v):
-                        yield (u, v), pair, i + 1, j + 1
 
 
 def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None:

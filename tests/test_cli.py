@@ -369,6 +369,24 @@ def test_large_ground_set_documents(capsys, tmp_path):
     assert report["verdict"] is True
 
 
+def test_large_ground_set_exchange_scans(capsys, tmp_path):
+    # two dense bases on [300] that differ in their last two coordinates
+    ones = [1] * 298
+    cases = (
+        ([1, 0], [0, 1], True, None),
+        ([2, 0], [0, 2], False, [ones + [0, 2], ones + [2, 0], 300]),
+    )
+    for a, b, holds, witness in cases:
+        doc = {"kind": "base-set", "n": 300, "vectors": [ones + a, ones + b]}
+        path = write(tmp_path, "base.json", doc)
+        code, report = run(capsys, "validate", path)
+        assert (code, report["verdict"]) == (0 if holds else 1, holds)
+        assert report.get("witness") == witness
+        code, report = run(capsys, "exchange", "--mode", "strong", path)
+        assert report["verdict"] is holds
+        assert report.get("witness") == (witness and witness + [299])
+
+
 def test_white_keeps_the_degree_cap(capsys, strong_five_file):
     code, report = run(capsys, "white", "--degree", "6", strong_five_file)
     assert code == 2
@@ -415,6 +433,8 @@ def test_malformed_input_exits_two(capsys, tmp_path, argv, doc):
     code, report = run(capsys, *argv)
     assert code == 2
     assert "error" in report
+    # a fault would also exit 2, but through the catch-all
+    assert not report["error"].startswith("internal error")
 
 
 def test_construct_veronese_on_many_coordinates(capsys):
@@ -540,4 +560,6 @@ def test_main_keeps_the_exit_code_contract(tmp_path, kind, data):
     assert code in (0, 1, 2)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
-    assert isinstance(json.loads(lines[0]), dict)
+    report = json.loads(lines[0])
+    assert isinstance(report, dict)
+    assert not report.get("error", "").startswith("internal error")

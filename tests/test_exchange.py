@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,3 +337,23 @@ def test_random_stable_sets_admit_two_sided_swaps(gen, extra):
         S |= set(principal_borel(tuple(extra)).vectors)
     assert oracles.is_strongly_stable(S)
     assert oracles.stable_or_exchange_holds(S)
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its membership tests."""
+
+    def __contains__(self, item):
+        self.tests = getattr(self, "tests", 0) + 1
+        return frozenset.__contains__(self, item)
+
+
+@pytest.mark.parametrize("mode", list(ExchangeMode))
+@pytest.mark.parametrize("tail, holds", [((1, 0), True), ((2, 0), False)])
+def test_scans_try_only_the_coordinates_where_bases_differ(mode, tail, holds):
+    # two bases on [300] that agree off their last two coordinates
+    u = (1,) * 298 + tail
+    v = (1,) * 298 + tail[::-1]
+    vectors = _CountingSet((u, v))
+    B = dataclasses.replace(base_set([u, v]), vectors=vectors)
+    assert bool(exchange_property(B, mode)) is holds
+    assert vectors.tests <= 8
