@@ -120,14 +120,15 @@ def _packer(gens, t_max: int):
 
     Each coordinate of such a sum is at most t_max times the largest
     generator entry, so with a radix above that bound coordinatewise
-    addition becomes plain integer addition.
+    addition becomes plain integer addition.  The first coordinate is the
+    most significant, so packed sums order as their vectors do.
     """
     max_entry = max((max(g) for g in gens), default=0)
     shift = max(1, t_max * max_entry).bit_length()
 
     def pack(v) -> int:
         acc = 0
-        for e in reversed(v):
+        for e in v:
             acc = (acc << shift) | e
         return acc
 

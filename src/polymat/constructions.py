@@ -7,6 +7,7 @@ principal Borel base rings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .core import (
@@ -16,6 +17,7 @@ from .core import (
     as_vector,
     box_points,
     check_cap,
+    exchange_step,
     modulus,
     subset_elements,
     subset_mask,
@@ -39,9 +41,21 @@ def veronese(caps: Iterable[int], d: int) -> BaseSet:
         raise ValueError("modulus must be nonnegative")
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
-    out = list(box_points([0] * len(s), s, d))
-    check_cap(len(out), "Veronese enumeration")
-    return base_set(out)
+    check_cap(_fixed_sum_count(s, d), "Veronese enumeration")
+    return base_set(box_points([0] * len(s), s, d))
+
+
+def _fixed_sum_count(caps: Vector, d: int) -> int:
+    """The number of x with 0 <= x <= caps adding up to d, counted for the
+    smaller of d and sum(caps) - d (x -> caps - x swaps them): ways[s] counts
+    the choices of the smaller caps adding up to s; the largest takes the rest."""
+    *rest, top = sorted(caps)
+    d = min(d, sum(caps) - d)
+    ways = [1]
+    for c in rest:
+        acc = list(accumulate(ways + [0] * min(c, d), initial=0))
+        ways = [acc[s + 1] - acc[max(0, s - c)] for s in range(min(d + 1, len(acc) - 1))]
+    return sum(ways[max(0, d - top) : d + 1])
 
 
 def is_strongly_stable(S: VectorSet) -> Verdict:
@@ -57,10 +71,7 @@ def is_strongly_stable(S: VectorSet) -> Verdict:
             if u[i] == 0:
                 continue
             for j in range(i):
-                w = list(u)
-                w[i] -= 1
-                w[j] += 1
-                if tuple(w) not in S.vectors:
+                if exchange_step(u, i + 1, j + 1) not in S.vectors:
                     return Verdict(False, (u, i + 1, j + 1))
     return Verdict(True)
 
@@ -187,9 +198,7 @@ def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
         nxt = set()
         for v in current:
             for i in subset_elements(mask):
-                w = list(v)
-                w[i - 1] += 1
-                nxt.add(tuple(w))
+                nxt.add(v[: i - 1] + (v[i - 1] + 1,) + v[i:])
         check_cap(len(nxt), "transversal enumeration")
         current = nxt
     B = BaseSet(n, frozenset(current), len(family))

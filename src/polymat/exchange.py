@@ -17,6 +17,7 @@ at each i are tested once per call, on the coordinates where bases differ.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations, combinations_with_replacement
 
 from .core import Vector, Verdict, exchange_step, modulus, sorted_vectors
 from .polymatroid import BaseSet, _exchange_failure, is_base_set
@@ -123,14 +124,11 @@ def sign_sequence(w: Vector) -> str:
 def is_sortable(B: BaseSet) -> Verdict:
     """Is B closed under the sorting operator?  Witness: the first pair
     whose sorted image leaves B."""
-    ordered = sorted_vectors(B.vectors)
     vs = B.vectors
-    for a in range(len(ordered)):
-        for b in range(a, len(ordered)):
-            u, v = ordered[a], ordered[b]
-            s, t = sort_pair(u, v)
-            if s not in vs or t not in vs:
-                return Verdict(False, (u, v))
+    for u, v in combinations_with_replacement(sorted_vectors(vs), 2):
+        s, t = sort_pair(u, v)
+        if s not in vs or t not in vs:
+            return Verdict(False, (u, v))
     return Verdict(True)
 
 
@@ -154,27 +152,14 @@ def rewrite_balanced(
     for v in vs:
         if v not in B.vectors:
             raise ValueError(f"{v} is not a member of the base set")
-    n = B.n
     moves: list[tuple[Vector, Vector, int, int]] = []
     while True:
-        pivot = None
-        for i in range(n):
-            for k in range(len(vs)):
-                for l in range(k + 1, len(vs)):
-                    if abs(vs[k][i] - vs[l][i]) >= 2:
-                        pivot = (i, k, l)
-                        break
-                if pivot:
-                    break
-            if pivot:
-                break
+        spreads = ((i, k, l) for i in range(B.n) for k, l in combinations(range(len(vs)), 2))
+        pivot = next(((i, k, l) for i, k, l in spreads if abs(vs[k][i] - vs[l][i]) >= 2), None)
         if pivot is None:
             return vs, moves
         i, k, l = pivot
-        if vs[k][i] > vs[l][i]:
-            hi, lo = k, l
-        else:
-            hi, lo = l, k
+        hi, lo = (k, l) if vs[k][i] > vs[l][i] else (l, k)
         u, v = vs[hi], vs[lo]
         j = symmetric_exchange_witness(B, u, v, i + 1)
         if j is None:

@@ -11,7 +11,7 @@ are the maximal vectors; they share a common modulus, the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import le, sub
 from typing import Iterable, Iterator
 
@@ -321,29 +321,29 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     return Verdict(True)
 
 
-def _symmetric_moves(B: BaseSet) -> Iterator[tuple]:
+def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tuple]:
     """Every nontrivial symmetric exchange of B, once.
 
     Yields ((u, v), (u', v'), i, j) for bases u < v and i, j with u(i) >
     v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j + e_i in B, and
     {u', v'} != {u, v} (1-based i, j; the new pair sorted), in the order
     of u, v, i and j.  The exchange on v at i' with u at j' is this one
-    at (j', i'), so pairs u < v reach every exchange.
+    at (j', i'), so pairs u < v reach every exchange.  With pairs, only
+    the (u, v) = (sorted(B)[a], sorted(B)[b]) of its index pairs a < b.
     """
     ordered = sorted_vectors(B.vectors)
     row = _swap_rows(B.vectors, ordered)
-    for a, u in enumerate(ordered):
-        for b in range(a + 1, len(ordered)):
-            v = ordered[b]
-            down, up = _deficits(u, v)
-            for i in down:
-                for j in _bits(row(a, i) & up):
-                    if row(b, j) >> i & 1:
-                        x = exchange_step(u, i + 1, j + 1)
-                        y = exchange_step(v, j + 1, i + 1)
-                        pair = (x, y) if x < y else (y, x)
-                        if pair != (u, v):
-                            yield (u, v), pair, i + 1, j + 1
+    for a, b in combinations(range(len(ordered)), 2) if pairs is None else pairs:
+        u, v = ordered[a], ordered[b]
+        down, up = _deficits(u, v)
+        for i in down:
+            for j in _bits(row(a, i) & up):
+                if row(b, j) >> i & 1:
+                    x = exchange_step(u, i + 1, j + 1)
+                    y = exchange_step(v, j + 1, i + 1)
+                    pair = (x, y) if x < y else (y, x)
+                    if pair != (u, v):
+                        yield (u, v), pair, i + 1, j + 1
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:

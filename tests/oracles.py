@@ -5,7 +5,7 @@ of library internals: plain loops, explicit enumerations, no bitmask
 tricks.  Expected values frozen into tests were produced by these.
 """
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 
 def swap(u, i, j):
@@ -274,3 +274,71 @@ def fiber_edges(vectors, members):
                         assert b in inside
                         out.add(tuple(sorted((a, b))))
     return out
+
+
+def fibers(vectors, m):
+    """The degree-m multisets of the set grouped by vector sum, as
+    (total, sorted members) pairs in order of total."""
+    grouped = {}
+    for combo in combinations_with_replacement(sorted(set(vectors)), m):
+        grouped.setdefault(tuple(map(sum, zip(*combo))), []).append(combo)
+    return [(total, tuple(sorted(grouped[total]))) for total in sorted(grouped)]
+
+
+def pair_moves(vectors):
+    """Every move ((u, v), (u', v')) with u < v and {u', v'} a symmetric
+    swap of {u, v} other than itself."""
+    out = []
+    for u, v in combinations(sorted(set(vectors)), 2):
+        out += [((u, v), right) for right in sorted(symmetric_swaps(vectors, u, v)) if right != (u, v)]
+    return out
+
+
+class _DSU:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def _neighbours(member, table):
+    """Multisets one move of the table away from the given one."""
+    m = len(member)
+    for a in range(m):
+        for b in range(a + 1, m):
+            u, v = member[a], member[b]
+            if u == v:
+                continue
+            for u2, v2 in table.get((u, v), ()):
+                rest = member[:a] + member[a + 1 : b] + member[b + 1 :]
+                yield tuple(sorted(rest + (u2, v2)))
+
+
+def white_check(vectors, m, moves=None):
+    """Connectivity of every degree-m fiber by union-find over the moves
+    ((u, v), (u', v')), by default pair_moves(vectors).  Returns None when
+    every fiber is connected; otherwise (total, a, b) for the first
+    fiber that is not, with a and b the two least component minima."""
+    table = {}
+    for left, right in pair_moves(vectors) if moves is None else moves:
+        table.setdefault(left, set()).add(right)
+    for total, members in fibers(vectors, m):
+        index = {mem: k for k, mem in enumerate(members)}
+        dsu = _DSU(len(members))
+        for mem in members:
+            for other in _neighbours(mem, table):
+                dsu.union(index[mem], index[other])
+        roots = {dsu.find(k) for k in range(len(members))}
+        if len(roots) > 1:
+            reps = sorted(min(members[k] for k in range(len(members)) if dsu.find(k) == r) for r in roots)
+            return (total, reps[0], reps[1])
+    return None

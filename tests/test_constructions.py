@@ -67,6 +67,32 @@ def test_veronese_strong_exchange(caps, d):
     assert exchange_property(B, ExchangeMode.STRONG)
 
 
+def test_veronese_cap_is_checked_before_listing(monkeypatch):
+    from polymat import constructions
+
+    def listing(*args):
+        raise AssertionError("the vectors were listed before the size cap was checked")
+
+    monkeypatch.setattr(constructions, "box_points", listing)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
+    with pytest.raises(SizeCapExceeded, match="needs 55252 points, cap is 100"):
+        veronese((9,) * 6, 27)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(719_400 - 1))
+    with pytest.raises(SizeCapExceeded, match="needs 719400 points"):
+        veronese((1,) * 1200, 2)
+
+
+def test_veronese_cap_counts_exactly(monkeypatch):
+    for caps in [(0, 3, 1), (2, 2, 2), (5, 1, 1, 1), (4,), (3, 0, 4, 2)]:
+        for d in range(sum(caps) + 1):
+            count = sum(1 for u in product(*(range(c + 1) for c in caps)) if sum(u) == d)
+            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count))
+            assert len(veronese(caps, d)) == count
+            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count - 1))
+            with pytest.raises(SizeCapExceeded):
+                veronese(caps, d)
+
+
 # --- strongly stable sets --------------------------------------------------------
 
 

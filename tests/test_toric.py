@@ -1,9 +1,13 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from polymat import polymatroid, toric
 from polymat import (
     ExchangeMode,
+    Fiber,
     SizeCapExceeded,
     base_set,
     exchange_property,
@@ -60,6 +64,57 @@ def test_relations_and_fiber_edges_match_brute_force(scan_pool):
                     assert set(graph.edges) == oracles.fiber_edges(B.vectors, f.members)
                     checked += len(graph.edges)
     assert checked > 0
+
+
+def test_fibers_match_brute_force(scan_pool):
+    for B in scan_pool:
+        for m in (1, 2, 3) if len(B) <= 20 else (1, 2):
+            got = [(f.total, f.members) for f in fibers(B, m, max_base_size=256)]
+            assert got == oracles.fibers(B.vectors, m)
+            assert all(f.degree == m for f in fibers(B, m, max_base_size=256))
+
+
+def test_white_check_matches_oracle(scan_pool):
+    checked = 0
+    for B in scan_pool:
+        if is_base_set(B):
+            for m in (2, 3):
+                got = white_check(B, m, max_base_size=256)
+                assert (None if got else got.witness) == oracles.white_check(B.vectors, m)
+                checked += 1
+    assert checked > 100
+
+
+def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
+    """Dropping a seeded share of the exchanges forces disconnected fibers;
+    the search and the oracle's union-find, given the same moves, must
+    agree on the verdict and on the witness."""
+    every_move = polymatroid._symmetric_moves
+    failures = 0
+    for rate in (0.6, 0.3):
+        def kept(B, pairs=None):
+            moves = every_move(B, pairs)
+            return [mv for mv in moves if Random(repr((rate, mv[:2]))).random() < rate]
+
+        monkeypatch.setattr(toric, "_symmetric_moves", kept)
+        for B in scan_pool:
+            if is_base_set(B):
+                moves = [mv[:2] for mv in kept(B)]
+                for m in (2, 3):
+                    got = white_check(B, m, max_base_size=256)
+                    want = oracles.white_check(B.vectors, m, moves)
+                    assert (None if got else got.witness) == want
+                    failures += want is not None
+    assert failures > 100
+
+
+def test_fiber_graph_refuses_a_partial_fiber(four_bases):
+    target = next(f for f in fibers(four_bases, 2) if f.total == (1, 3, 1, 3))
+    with pytest.raises(ValueError, match="lacks"):
+        fiber_graph(four_bases, Fiber(2, target.total, target.members[:1]))
+    with pytest.raises(ValueError, match="outside the base set"):
+        outside = (((1, 1, 1, 1), (1, 1, 1, 1)), ((2, 0, 2, 0), (0, 2, 0, 2)))
+        fiber_graph(four_bases, Fiber(2, (2, 2, 2, 2), outside))
 
 
 def test_fibers_degree_one(borel_211):
