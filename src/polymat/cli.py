@@ -177,28 +177,15 @@ def _parse_vector(text: str) -> tuple:
         raise SchemaError(f"bad vector {text!r}: {exc}") from exc
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+# --- readers: each subcommand names the one that turns its document into the
+# value its handler takes.  Only _polymatroid closes a base set downward.
 
 
-def _vectors_doc(kind: str, n: int, vectors) -> dict:
-    return {"kind": kind, "n": n, "vectors": [list(v) for v in sorted(vectors)]}
+def _document(doc: Document) -> Document:
+    return doc
 
 
-def _rank_doc(rho: RankFunction) -> dict:
-    return {"kind": "rank-function", "n": rho.n, "values": list(rho.values)}
-
-
-def _verdict_payload(verdict: Verdict, **extra) -> dict:
-    out: dict[str, Any] = {"verdict": verdict.holds, **extra}
-    if verdict.witness is not None:
-        out["witness"] = _jsonable(verdict.witness)
-    return out
-
-
-def _as_polymatroid(doc: Document) -> DiscretePolymatroid:
+def _polymatroid(doc: Document) -> DiscretePolymatroid:
     if doc.kind == "vector-set":
         return discrete_polymatroid(doc.value)
     if doc.kind == "base-set":
@@ -210,167 +197,173 @@ def _as_polymatroid(doc: Document) -> DiscretePolymatroid:
     )
 
 
-def _as_base_set(doc: Document) -> BaseSet:
-    return doc.value if doc.kind == "base-set" else bases(_as_polymatroid(doc))
+def _vectors(doc: Document) -> BaseSet:
+    """A base-set document as given, else the bases of the polymatroid: the
+    exchange checks and the base ring take any vectors of equal modulus."""
+    return doc.value if doc.kind == "base-set" else bases(_polymatroid(doc))
 
 
-def _as_rank_function(doc: Document) -> RankFunction:
-    if doc.kind == "rank-function":
-        return doc.value
-    return rank_function(bases(_as_polymatroid(doc)))
+def _base_set(doc: Document) -> BaseSet:
+    """The bases of the polymatroid; a base-set document must pass is_base_set."""
+    if doc.kind != "base-set":
+        return bases(_polymatroid(doc))
+    verdict = is_base_set(doc.value)
+    if not verdict:
+        raise SchemaError(f"field 'vectors' is not a base set: {verdict.witness}")
+    return doc.value
+
+
+def _rank_function(doc: Document) -> RankFunction:
+    return doc.value if doc.kind == "rank-function" else rank_function(_base_set(doc))
 
 
 def _generators(which: str, doc: Document):
     if which == "base":
-        return base_ring_generators(_as_base_set(doc))
-    return ehrhart_generators(_as_polymatroid(doc))
+        return base_ring_generators(_vectors(doc))
+    return ehrhart_generators(_polymatroid(doc))
 
 
-# --- subcommand handlers ----------------------------------------------------
-# Each handler returns the report payload; main derives the exit code from
-# its "verdict" field.
+def _encode(value: Any) -> Any:
+    """The JSON form of a handler's payload.  A Verdict becomes its truth
+    value, and on failure its witness joins the dict as ``witness``; point
+    sets, base sets and rank functions become documents; tuples become lists."""
+    if isinstance(value, dict):
+        out: dict[str, Any] = {}
+        for key, item in value.items():
+            if isinstance(item, Verdict):
+                out[key] = item.holds
+                if item.witness is not None:
+                    out["witness"] = _encode(item.witness)
+            else:
+                out[key] = _encode(item)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_encode(x) for x in value]
+    if isinstance(value, DiscretePolymatroid):
+        value = value.point_set
+    if isinstance(value, (VectorSet, BaseSet)):
+        kind = "base-set" if isinstance(value, BaseSet) else "vector-set"
+        return {"kind": kind, "n": value.n, "vectors": _encode(sorted(value.vectors))}
+    if isinstance(value, RankFunction):
+        return {"kind": "rank-function", "n": value.n, "values": list(value.values)}
+    return value
 
 
-def _cmd_validate(args) -> dict:
-    doc = _load(args.file)
-    if doc.kind == "vector-set":
-        verdict = is_discrete_polymatroid(doc.value)
-    elif doc.kind == "base-set":
-        verdict = is_base_set(doc.value)
-    elif doc.kind == "rank-function":
-        verdict = validate_rank_function(doc.value)
-    else:
+# --- subcommand handlers: (reader's value, args) -> payload; main encodes the
+# payload and derives the exit code from its "verdict" field.
+
+_VALIDATORS = {
+    "vector-set": is_discrete_polymatroid,
+    "base-set": is_base_set,
+    "rank-function": validate_rank_function,
+}
+
+
+def _cmd_validate(doc: Document, args) -> dict:
+    if doc.kind not in _VALIDATORS:
         raise SchemaError(f"nothing to validate for kind {doc.kind!r}")
-    return _verdict_payload(verdict)
+    return {"verdict": _VALIDATORS[doc.kind](doc.value)}
 
 
-def _cmd_bases(args) -> dict:
-    B = bases(_as_polymatroid(_load(args.file)))
-    return {"result": _vectors_doc("base-set", B.n, B.vectors)}
+def _cmd_result(value, args) -> dict:
+    """bases and rank: the reader's value is the result."""
+    return {"result": value}
 
 
-def _cmd_rank(args) -> dict:
-    return {"result": _rank_doc(_as_rank_function(_load(args.file)))}
+def _cmd_exchange(B: BaseSet, args) -> dict:
+    return {"verdict": exchange_property(B, ExchangeMode(args.mode)), "mode": args.mode}
 
 
-def _cmd_exchange(args) -> dict:
-    verdict = exchange_property(_as_base_set(_load(args.file)), ExchangeMode(args.mode))
-    return _verdict_payload(verdict, mode=args.mode)
+def _cmd_sort(_, args) -> dict:
+    return {"result": {"pair": sort_pair(_parse_vector(args.u), _parse_vector(args.v))}}
 
 
-def _cmd_sort(args) -> dict:
-    s, t = sort_pair(_parse_vector(args.u), _parse_vector(args.v))
-    return {"result": {"pair": [list(s), list(t)]}}
+def _cmd_sortable(B: BaseSet, args) -> dict:
+    return {"verdict": is_sortable(B)}
 
 
-def _cmd_sortable(args) -> dict:
-    return _verdict_payload(is_sortable(_as_base_set(_load(args.file))))
-
-
-def _cmd_rewrite(args) -> dict:
-    B = _as_base_set(_load(args.file))
+def _cmd_rewrite(B: BaseSet, args) -> dict:
     out, moves = rewrite_balanced([_parse_vector(s) for s in args.seq], B)
-    return {"result": {"sequence": [list(v) for v in out], "moves": _jsonable(moves)}}
+    return {"result": {"sequence": out, "moves": moves}}
 
 
-def _cmd_white(args) -> dict:
-    B = _as_base_set(_load(args.file))
+def _cmd_white(B: BaseSet, args) -> dict:
     verdict = white_check(B, args.degree, max_base_size=args.max_base_size)
     label = "verified instance" if verdict else "candidate counterexample"
-    return _verdict_payload(verdict, degree=args.degree, label=label)
+    return {"verdict": verdict, "degree": args.degree, "label": label}
 
 
-def _cmd_hilbert(args) -> dict:
-    gens = _generators(args.which, _load(args.file))
+def _cmd_hilbert(doc: Document, args) -> dict:
+    gens = _generators(args.which, doc)
     return {"result": {"which": args.which, "values": hilbert_values(gens, args.terms)}}
 
 
-def _cmd_gorenstein(args) -> dict:
-    doc = _load(args.file)
+def _cmd_gorenstein(doc: Document, args) -> dict:
     if args.method == "hstar":
         data = h_star(_generators(args.which, doc))
         h = data.h_star_trimmed
-        return {"verdict": h == h[::-1], "h_star": list(h), "krull_dim": data.krull_dim}
+        return {"verdict": h == h[::-1], "h_star": h, "krull_dim": data.krull_dim}
     if args.which == "ehrhart":
-        delta = ehrhart_gorenstein(_as_rank_function(doc))
+        delta = ehrhart_gorenstein(_rank_function(doc))
         return {"verdict": delta is not None, "delta": delta}
     if doc.kind != "borel":
         raise SchemaError("the base-ring criterion method needs a borel document")
     return {"verdict": borel_gorenstein(doc.value)}
 
 
-def _cmd_facets(args) -> dict:
-    desc = closed_inseparable_subsets(_as_rank_function(_load(args.file)))
-    return {
-        "result": {
-            "coordinate_facets": list(desc.coordinate_facets),
-            "rank_facets": [
-                {"subset": list(subset_elements(mask)), "rank": value}
-                for mask, value in desc.rank_facets
-            ],
-        }
-    }
+def _cmd_facets(rho: RankFunction, args) -> dict:
+    desc = closed_inseparable_subsets(rho)
+    facets = [{"subset": subset_elements(m), "rank": r} for m, r in desc.rank_facets]
+    return {"result": {"coordinate_facets": desc.coordinate_facets, "rank_facets": facets}}
 
 
-def _cmd_generic(args) -> dict:
-    return _verdict_payload(is_generic(_as_polymatroid(_load(args.file))))
+def _cmd_generic(P: DiscretePolymatroid, args) -> dict:
+    return {"verdict": is_generic(P)}
 
 
-def _cmd_is_transversal(args) -> dict:
-    pres = is_transversal(_as_polymatroid(_load(args.file)))
+def _cmd_is_transversal(P: DiscretePolymatroid, args) -> dict:
+    pres = is_transversal(P)
     if pres is None:
         return {"verdict": False}
-    return {"verdict": True, "presentation": [list(s) for s in pres.subsets_as_elements()]}
+    return {"verdict": True, "presentation": pres.subsets_as_elements()}
 
 
-def _cmd_truncate(args) -> dict:
-    P = truncate(_as_polymatroid(_load(args.file)), args.rank)
-    return {"result": _vectors_doc("vector-set", P.n, P.points)}
+def _cmd_truncate(P: DiscretePolymatroid, args) -> dict:
+    return {"result": truncate(P, args.rank)}
 
 
-def _cmd_contract(args) -> dict:
-    P = contract(_as_polymatroid(_load(args.file)), _parse_vector(args.at))
-    return {"result": _vectors_doc("vector-set", P.n, P.points)}
+def _cmd_contract(P: DiscretePolymatroid, args) -> dict:
+    return {"result": contract(P, _parse_vector(args.at))}
 
 
-def _cmd_lift(args) -> dict:
-    B = lift(_as_polymatroid(_load(args.file)))
-    return {"result": _vectors_doc("base-set", B.n, B.vectors)}
+def _cmd_lift(P: DiscretePolymatroid, args) -> dict:
+    return {"result": lift(P)}
 
 
-def _cmd_sum(args) -> dict:
-    P = polymatroid_sum(*(_as_polymatroid(_load(path)) for path in args.files))
-    return {"result": _vectors_doc("vector-set", P.n, P.points)}
+def _cmd_sum(_, args) -> dict:
+    return {"result": polymatroid_sum(*(_polymatroid(_load(path)) for path in args.files))}
 
 
-def _cmd_normality(args) -> dict:
-    gens = _generators(args.which, _load(args.file))
-    return _verdict_payload(normality_check(gens, args.tmax), t_max=args.tmax)
+def _cmd_normality(doc: Document, args) -> dict:
+    gens = _generators(args.which, doc)
+    return {"verdict": normality_check(gens, args.tmax), "t_max": args.tmax}
 
 
-def _cmd_construct(args) -> dict:
+def _cmd_construct(_, args) -> dict:
     target = args.target
     if target == "veronese":
-        B = veronese(*_flags_or_params(args, "caps"))
-        return {"result": _vectors_doc("base-set", B.n, B.vectors)}
+        return {"result": veronese(*_flags_or_params(args, "caps"))}
     if target == "borel":
         if args.generator is None:
             raise SchemaError("construct borel needs --generator")
-        S = principal_borel(_parse_vector(args.generator))
-        return {"result": _vectors_doc("vector-set", S.n, S.vectors)}
+        return {"result": principal_borel(_parse_vector(args.generator))}
     if target == "generic-gorenstein":
-        rho = generic_gorenstein_rank(GenericGorensteinParams(*_flags_or_params(args, "alpha")))
-        return {"result": _rank_doc(rho)}
+        params = GenericGorensteinParams(*_flags_or_params(args, "alpha"))
+        return {"result": generic_gorenstein_rank(params)}
     if target == "transversal":
         B, rho = transversal(_construct_document(args))
-        return {
-            "result": {
-                "base_set": _vectors_doc("base-set", B.n, B.vectors),
-                "rank_function": _rank_doc(rho),
-            }
-        }
-    P = sublattice_polymatroid(*_construct_document(args))
-    return {"result": _vectors_doc("vector-set", P.n, P.points)}
+        return {"result": {"base_set": B, "rank_function": rho}}
+    return {"result": sublattice_polymatroid(*_construct_document(args))}
 
 
 def _flags_or_params(args, field: str) -> tuple:
@@ -410,45 +403,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+    def add(name, help, **defaults):
+        """A subcommand; one with a reader takes the path of its document."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**defaults)
+        if defaults["read"] is not None:
+            p.add_argument("file")
         return p
 
-    p = add("validate", _cmd_validate, help="validate a vector set, base set or rank function")
-    p.add_argument("file")
-    p = add("bases", _cmd_bases, help="maximal vectors of a polymatroid")
-    p.add_argument("file")
-    p = add("rank", _cmd_rank, help="rank function of a base set")
-    p.add_argument("file")
-    p = add("exchange", _cmd_exchange, help="check an exchange property")
+    p = add("validate", "validate a vector set, base set or rank function",
+            handler=_cmd_validate, read=_document)
+    p = add("bases", "maximal vectors of a polymatroid", handler=_cmd_result, read=_base_set)
+    p = add("rank", "rank function of a base set", handler=_cmd_result, read=_rank_function)
+    p = add("exchange", "check an exchange property", handler=_cmd_exchange, read=_vectors)
     p.add_argument("--mode", choices=[m.value for m in ExchangeMode], required=True)
-    p.add_argument("file")
-    p = add("sort", _cmd_sort, help="apply the sorting operator to a pair")
+    p = add("sort", "apply the sorting operator to a pair", handler=_cmd_sort, read=None)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p = add("sortable", _cmd_sortable, help="closure under the sorting operator")
-    p.add_argument("file")
-    p = add("rewrite", _cmd_rewrite, help="balance a sequence of bases by symmetric exchanges")
+    p = add("sortable", "closure under the sorting operator", handler=_cmd_sortable, read=_vectors)
+    p = add("rewrite", "balance a sequence of bases by symmetric exchanges",
+            handler=_cmd_rewrite, read=_vectors)
     p.add_argument("--seq", action="append", required=True, help="vector, repeatable")
-    p.add_argument("file")
-    p = add("white", _cmd_white, help="fiber-graph connectivity in a given degree")
+    p = add("white", "fiber-graph connectivity in a given degree",
+            handler=_cmd_white, read=_vectors)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--max-base-size", type=int, default=64, dest="max_base_size")
-    p.add_argument("file")
-    p = add("hilbert", _cmd_hilbert, help="Hilbert function values")
+    p = add("hilbert", "Hilbert function values", handler=_cmd_hilbert, read=_document)
     p.add_argument("--which", choices=["base", "ehrhart"], required=True)
     p.add_argument("--terms", type=int, default=4)
-    p.add_argument("file")
-    p = add("gorenstein", _cmd_gorenstein, help="Gorenstein verdicts")
+    p = add("gorenstein", "Gorenstein verdicts", handler=_cmd_gorenstein, read=_document)
     p.add_argument("--which", choices=["base", "ehrhart"], required=True)
     p.add_argument("--method", choices=["hstar", "criterion"], default="hstar")
-    p.add_argument("file")
-    p = add("facets", _cmd_facets, help="coordinate and rank facets")
-    p.add_argument("file")
-    p = add("generic", _cmd_generic, help="genericity of a polymatroid")
-    p.add_argument("file")
-    p = add("construct", _cmd_construct, help="build a classical family instance")
+    p = add("facets", "coordinate and rank facets", handler=_cmd_facets, read=_rank_function)
+    p = add("generic", "genericity of a polymatroid", handler=_cmd_generic, read=_polymatroid)
+    p = add("construct", "build a classical family instance", handler=_cmd_construct, read=None)
     p.add_argument(
         "target",
         choices=["veronese", "borel", "transversal", "sublattice", "generic-gorenstein"],
@@ -458,22 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator")
     p.add_argument("--alpha")
     p.add_argument("--rank", type=int)
-    p = add("is-transversal", _cmd_is_transversal, help="search for a transversal presentation")
-    p.add_argument("file")
-    p = add("truncate", _cmd_truncate, help="restrict to a smaller rank")
+    p = add("is-transversal", "search for a transversal presentation",
+            handler=_cmd_is_transversal, read=_polymatroid)
+    p = add("truncate", "restrict to a smaller rank", handler=_cmd_truncate, read=_polymatroid)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("file")
-    p = add("contract", _cmd_contract, help="contract at a point")
+    p = add("contract", "contract at a point", handler=_cmd_contract, read=_polymatroid)
     p.add_argument("--at", required=True)
-    p.add_argument("file")
-    p = add("lift", _cmd_lift, help="append a slack coordinate")
-    p.add_argument("file")
-    p = add("sum", _cmd_sum, help="polymatroid sum of several inputs")
+    p = add("lift", "append a slack coordinate", handler=_cmd_lift, read=_polymatroid)
+    p = add("sum", "polymatroid sum of several inputs", handler=_cmd_sum, read=None)
     p.add_argument("files", nargs="+")
-    p = add("normality", _cmd_normality, help="degree-by-degree saturation check")
+    p = add("normality", "degree-by-degree saturation check",
+            handler=_cmd_normality, read=_document)
     p.add_argument("--which", choices=["base", "ehrhart"], required=True)
     p.add_argument("--tmax", type=int, default=2)
-    p.add_argument("file")
     return parser
 
 
@@ -481,7 +466,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        payload = args.handler(args)
+        value = None if args.read is None else args.read(_load(args.file))
+        payload = _encode(args.handler(value, args))
         code = 1 if payload.get("verdict") is False else 0
     except (SchemaError, SizeCapExceeded, ValueError) as exc:
         code, payload = 2, {"error": str(exc)}

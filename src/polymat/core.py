@@ -180,7 +180,9 @@ def subset_mask(elements: Iterable[int], n: int) -> int:
     """Bitmask of a 1-based element collection inside [n]."""
     mask = 0
     for e in elements:
-        if not (isinstance(e, int) and 1 <= e <= n):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"subset elements must be integers, got {e!r}")
+        if not 1 <= e <= n:
             raise ValueError(f"element {e!r} outside ground set [{n}]")
         mask |= 1 << (e - 1)
     return mask

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -6,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polymat.cli import SchemaError, main, parse_document
+from polymat.cli import SchemaError, build_parser, main, parse_document
 
 
 def write(tmp_path, name, payload):
@@ -387,6 +388,31 @@ def test_large_ground_set_exchange_scans(capsys, tmp_path):
         assert report.get("witness") == (witness and witness + [299])
 
 
+def test_base_set_read_for_bases_or_rank_is_not_closed_downward(capsys, tmp_path):
+    # the downward closure of this base holds 151^3 points; its rank table has 8
+    big = write(tmp_path, "big.json", {"kind": "base-set", "n": 3, "vectors": [[150, 150, 150]]})
+    code, report = run(capsys, "rank", big)
+    assert code == 0
+    assert report["result"]["values"] == [0, 150, 150, 300, 150, 300, 300, 450]
+    code, report = run(capsys, "bases", big)
+    assert (code, report["result"]["vectors"]) == (0, [[150, 150, 150]])
+    code, report = run(capsys, "gorenstein", "--which", "ehrhart", "--method", "criterion", big)
+    assert (code, report["delta"]) == (1, None)
+
+
+def test_base_set_that_fails_base_exchange_is_refused_with_its_witness(capsys, tmp_path):
+    vectors = [[3, 0, 1], [1, 3, 0], [3, 1, 0], [2, 2, 0], [4, 0, 0]]
+    stable = write(tmp_path, "stable5.json", {"kind": "base-set", "n": 3, "vectors": vectors})
+    criterion = ["gorenstein", "--which", "ehrhart", "--method", "criterion"]
+    for argv in (["bases"], ["rank"], ["facets"], criterion):
+        code, report = run(capsys, *argv, stable)
+        assert code == 2
+        assert report["error"] == "field 'vectors' is not a base set: ((3, 0, 1), (1, 3, 0), 1)"
+    # the exchange checks take the vectors as given
+    code, report = run(capsys, "exchange", "--mode", "base", stable)
+    assert (code, report["witness"]) == (1, [[3, 0, 1], [1, 3, 0], 1])
+
+
 def test_white_keeps_the_degree_cap(capsys, strong_five_file):
     code, report = run(capsys, "white", "--degree", "6", strong_five_file)
     assert code == 2
@@ -411,6 +437,11 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         (["construct", "sublattice"], None),
         (["construct", "transversal"], None),
         (["construct", "veronese"], {"kind": "params", "caps": [2, 2, 2], "d": True}),
+        (["construct", "transversal"], {"kind": "transversal", "n": 2, "family": [[True], [1, 2]]}),
+        (
+            ["construct", "sublattice"],
+            {"kind": "sublattice", "n": 2, "members": [[], [True], [1, 2]], "mu": [0, 1, 2]},
+        ),
     ],
     ids=[
         "flat-vectors",
@@ -425,6 +456,8 @@ def test_white_keeps_the_degree_cap(capsys, strong_five_file):
         "sublattice-without-file",
         "transversal-without-file",
         "params-d-true",
+        "family-element-true",
+        "members-element-true",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, argv, doc):
@@ -447,10 +480,10 @@ def test_construct_veronese_on_many_coordinates(capsys):
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch, strong_five_file):
-    def broken(args):
+    def broken(value, args):
         raise RuntimeError("handler fault")
 
-    monkeypatch.setattr("polymat.cli._cmd_bases", broken)
+    monkeypatch.setattr("polymat.cli._cmd_result", broken)
     code, report = run(capsys, "bases", strong_five_file)
     assert code == 2
     assert report["error"] == "internal error: RuntimeError: handler fault"
@@ -491,6 +524,16 @@ _COMMANDS = [
     ["construct", "transversal"],
     ["construct", "sublattice"],
 ]
+
+
+def test_fuzz_covers_every_command_that_reads_a_document():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    reading = {
+        name
+        for name, parser in sub.choices.items()
+        if any(a.dest in ("file", "files") for a in parser._actions)
+    }
+    assert reading == {argv[0] for argv in _COMMANDS}
 
 
 # The fields each kind reads; "matroid" is not a kind.

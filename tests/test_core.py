@@ -166,6 +166,8 @@ def test_subset_round_trip():
     assert subset_mask([], 3) == 0
     with pytest.raises(ValueError):
         subset_mask([6], 5)
+    with pytest.raises(ValueError):
+        subset_mask([True], 5)
 
 
 def test_as_vector_rejects_bad_entries():
