@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb
+from typing import Iterator
 
 from .core import (
     SizeCapExceeded,
@@ -32,6 +33,7 @@ from .core import (
     check_cap,
     max_points,
     modulus,
+    packer,
     subset_size,
     subset_sums,
     subsets,
@@ -115,26 +117,6 @@ def base_ring_generators(B: BaseSet) -> GradedGenerators:
     return G if rho is None else replace(G, _rank=rho)
 
 
-def _packer(gens, t_max: int):
-    """Carry-free integer packing for sums of up to t_max generators.
-
-    Each coordinate of such a sum is at most t_max times the largest
-    generator entry, so with a radix above that bound coordinatewise
-    addition becomes plain integer addition.  The first coordinate is the
-    most significant, so packed sums order as their vectors do.
-    """
-    max_entry = max((max(g) for g in gens), default=0)
-    shift = max(1, t_max * max_entry).bit_length()
-
-    def pack(v) -> int:
-        acc = 0
-        for e in v:
-            acc = (acc << shift) | e
-        return acc
-
-    return pack, [pack(g) for g in sorted(gens)]
-
-
 def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     """Number of distinct sums of t generators, for t = 0 .. t_max.
 
@@ -147,14 +129,18 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     if G.rank is not None:
         cap = max_points()
         return [_dilated_count(G.rank, t, cap) for t in range(t_max + 1)]
-    values = [1]
-    _, packed = _packer(G.gens, t_max)
+    _, packed = packer(G.gens, t_max)
+    return [1] + [len(level) for level in _sumset_levels(packed, t_max, "Hilbert function level")]
+
+
+def _sumset_levels(packed: list, t_max: int, what: str) -> Iterator[set]:
+    """The t-fold sums of the packed generators for t = 1 .. t_max, one
+    set per degree, each checked against the size cap as it is built."""
     level = {0}
     for _ in range(t_max):
         level = {s + g for s in level for g in packed}
-        check_cap(len(level), "Hilbert function level")
-        values.append(len(level))
-    return values
+        check_cap(len(level), what)
+        yield level
 
 
 def _dilated_count(rho: RankFunction, t: int, cap: int) -> int:
@@ -247,12 +233,9 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
     gens = sorted(G.gens)
     mods = {modulus(g) for g in gens}
     shared = mods.pop() if len(mods) == 1 else None
-    pack, packed = _packer(gens, t_max)
-    level = {0}
+    pack, packed = packer(gens, t_max)
     checked = 0
-    for t in range(1, t_max + 1):
-        level = {s + g for s in level for g in packed}
-        check_cap(len(level), "normality level")
+    for t, level in enumerate(_sumset_levels(packed, t_max, "normality level"), 1):
         lo = [t * min(g[c] for g in gens) for c in range(G.n)]
         hi = [t * max(g[c] for g in gens) for c in range(G.n)]
         anchor = tuple(t * a for a in G.origin)
@@ -419,9 +402,6 @@ def generic_gorenstein_rank(params: GenericGorensteinParams) -> RankFunction:
     verdict = validate_rank_function(rho)
     if not verdict:
         raise ValueError(f"construction produced an invalid rank function: {verdict.witness}")
-    for mask in subsets(n):
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and values[mask | bit] <= values[mask]:
-                raise ValueError("construction is not strictly increasing")
+    if not all(_closed(values, n, mask) for mask in subsets(n)):
+        raise ValueError("construction is not strictly increasing")
     return rho

@@ -110,13 +110,7 @@ def eval_on_subset(u: Vector, mask: int) -> int:
     n = len(u)
     if not 0 <= mask < (1 << n):
         raise ValueError(f"mask {mask} outside range for ground set [{n}]")
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        total += u[low.bit_length() - 1]
-        m ^= low
-    return total
+    return sum(u[k] for k in set_bits(mask))
 
 
 def subset_sums(u: Vector) -> list[int]:
@@ -140,6 +134,27 @@ def exchange_step(u: Vector, i: int, j: int) -> Vector:
     w[i - 1] -= 1
     w[j - 1] += 1
     return tuple(w)
+
+
+def packer(vectors, t_max: int):
+    """Carry-free integer packing for sums of up to t_max of the vectors.
+
+    Each coordinate of such a sum is at most t_max times the largest
+    entry, so with a radix above that bound coordinatewise addition
+    becomes plain integer addition.  The first coordinate is the most
+    significant, so packed sums order as their vectors do.  Returns the
+    packing function and the packed vectors in sorted order.
+    """
+    max_entry = max((max(g) for g in vectors), default=0)
+    shift = max(1, t_max * max_entry).bit_length()
+
+    def pack(v) -> int:
+        acc = 0
+        for e in v:
+            acc = (acc << shift) | e
+        return acc
+
+    return pack, [pack(g) for g in sorted(vectors)]
 
 
 def box_points(lo: list[int], hi: list[int], total: int | None = None) -> Iterator[Vector]:
@@ -190,13 +205,15 @@ def subset_mask(elements: Iterable[int], n: int) -> int:
 
 def subset_elements(mask: int) -> tuple[int, ...]:
     """1-based elements of a bitmask, ascending."""
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length())
-        m ^= low
-    return tuple(out)
+    return tuple(k + 1 for k in set_bits(mask))
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The 0-based positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def subset_size(mask: int) -> int:

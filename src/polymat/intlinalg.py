@@ -2,8 +2,9 @@
 
 Everything here runs on Python ints and fractions.Fraction, so there is
 no floating point anywhere: affine ranks, lattice membership and convex
-hull membership are all decided exactly.  Sizes are desk scale, so the
-naive algorithms below are plenty.
+hull membership are all decided exactly.  The lattice basis is the
+Hermite normal form, built by inserting one row at a time; hull
+membership is a phase-one simplex.
 """
 
 from __future__ import annotations
@@ -24,43 +25,36 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 def lattice_basis(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Integer echelon basis of the lattice generated by the given rows.
 
-    Row-style Hermite reduction: pivots sit on strictly increasing
-    columns, each pivot is positive, rows above a pivot are reduced
-    modulo it.
+    The Hermite normal form, built by insertion: pivots sit on strictly
+    increasing columns, each pivot is positive, rows above a pivot are
+    reduced modulo it.  Each row is merged into the pivot row of its
+    leading column by Euclid, and what is left goes on to its later
+    columns; one last pass reduces above the pivots.
     """
-    mat = [list(row) for row in rows if any(row)]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    basis: list[list[int]] = []
-    row_at = 0
-    for col in range(ncols):
-        # Euclid on the current column until one nonzero entry remains.
-        while True:
-            live = [r for r in range(row_at, len(mat)) if mat[r][col]]
-            if len(live) <= 1:
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        for col in range(len(row)):
+            if not row[col]:
+                continue
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row if row[col] > 0 else [-a for a in row]
                 break
-            live.sort(key=lambda r: abs(mat[r][col]))
-            small, other = live[0], live[1]
-            q = mat[other][col] // mat[small][col]
-            mat[other] = [a - q * b for a, b in zip(mat[other], mat[small])]
-        live = [r for r in range(row_at, len(mat)) if mat[r][col]]
-        if not live:
-            continue
-        r = live[0]
-        mat[row_at], mat[r] = mat[r], mat[row_at]
-        if mat[row_at][col] < 0:
-            mat[row_at] = [-a for a in mat[row_at]]
-        # reduce earlier rows modulo the new pivot
-        piv = mat[row_at][col]
+            while row[col]:  # Euclid; the remainders keep the pivot positive
+                q = row[col] // piv[col]
+                row = [a - q * b for a, b in zip(row, piv)]
+                if row[col]:
+                    piv, row = row, piv
+            pivots[col] = piv
+    basis: list[list[int]] = []
+    for col, piv in sorted(pivots.items()):
         for prev in basis:
-            q = prev[col] // piv
+            q = prev[col] // piv[col]
             if q:
-                for c in range(ncols):
-                    prev[c] -= q * mat[row_at][c]
-        basis.append(mat[row_at])
-        row_at += 1
-    return tuple(tuple(r) for r in basis)
+                prev[:] = [a - q * b for a, b in zip(prev, piv)]
+        basis.append(piv)
+    return tuple(map(tuple, basis))
 
 
 def in_lattice(basis: Sequence[Sequence[int]], x: Sequence[int]) -> bool:

@@ -11,11 +11,13 @@ are the maximal vectors; they share a common modulus, the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 from operator import le, sub
 from typing import Iterable, Iterator
 
 from .core import (
+    SizeCapExceeded,
     Vector,
     Verdict,
     as_vector,
@@ -23,6 +25,7 @@ from .core import (
     exchange_step,
     max_points,
     modulus,
+    set_bits,
     sorted_vectors,
     subset_sums,
     subsets,
@@ -146,7 +149,12 @@ def rank_function_from_values(values: Iterable[int], n: int) -> RankFunction:
 
 
 def downward_closure(S: VectorSet) -> VectorSet:
-    """All integral subvectors of members of S."""
+    """All integral subvectors of members of S.
+
+    The box of subvectors of one member is a lower bound on the size, so
+    the largest box is checked against the size cap before any is listed.
+    """
+    check_cap(max((prod(e + 1 for e in u) for u in S.vectors), default=0), "downward closure")
     out: set = set()
     for u in S:
         for v in product(*(range(e + 1) for e in u)):
@@ -275,14 +283,6 @@ def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
     return down, up
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     """First failure of an exchange property over the ordered pairs u != v
     of B, lexicographically; mode is an ``ExchangeMode`` value.
@@ -314,7 +314,7 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
                         missing = up & ~js
                         return Verdict(False, (u, v, i + 1, (missing & -missing).bit_length()))
                 elif mode == "symmetric":
-                    if not any(row(b, j) >> i & 1 for j in _bits(js)):
+                    if not any(row(b, j) >> i & 1 for j in set_bits(js)):
                         return Verdict(False, (u, v, i + 1))
                 elif not js:
                     return Verdict(False, (u, v, i + 1))
@@ -337,7 +337,7 @@ def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tupl
         u, v = ordered[a], ordered[b]
         down, up = _deficits(u, v)
         for i in down:
-            for j in _bits(row(a, i) & up):
+            for j in set_bits(row(a, i) & up):
                 if row(b, j) >> i & 1:
                     x = exchange_step(u, i + 1, j + 1)
                     y = exchange_step(v, j + 1, i + 1)
@@ -371,7 +371,13 @@ def rank_function(B: BaseSet) -> RankFunction:
 
 
 def _max_subset_sums(vectors, n: int) -> tuple:
-    """For every subset A of [n] (by bitmask), the largest u(A) over the vectors."""
+    """For every subset A of [n] (by bitmask), the largest u(A) over the
+    vectors; refused before it is built when :func:`rank_table_fits` does
+    not allow it."""
+    if not rank_table_fits(n, len(vectors)):
+        raise SizeCapExceeded(
+            f"rank table on [{n}] needs ({len(vectors)} + {n}^2) * 2^{n} steps, cap is {max_points()}"
+        )
     best = [0] * (1 << n)
     for u in vectors:
         best = [a if a > b else b for a, b in zip(best, subset_sums(u))]
@@ -426,19 +432,18 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
     and |u| = t*rho([n]).
 
-    A depth-first search fixes the first n - 2 coordinates, keeping the
-    subset sums x(A) of the fixed prefix.  Coordinate k ranges over the
-    interval left by u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
-    t*rho([n] - A) on the subsets A of [k] holding k.  The last two
-    coordinates have a fixed sum, so each full prefix adds the length of
-    one interval, and the prefixes that differ only in coordinate n - 2
-    are summed in one loop from four minima over the shorter prefix.
-    Every inequality is checked on the way, so the count does not rest
-    on how much the prefix bounds prune.  For a polymatroid rank
-    function they describe the projection of the base polytope, so every
-    prefix extends to a base and no more prefixes than bases are
-    visited.  Returns None, before doing their work, when more than
-    ``limit`` full prefixes are due.  No point is stored.
+    The prefixes of the first n - 3 coordinates come from
+    :func:`_prefixes` under u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
+    t*rho([n] - A).  Coordinate n - 2 ranges over the interval those
+    bounds leave, and the last two coordinates have a fixed sum, so each
+    value of it adds the length of one interval, summed in one loop from
+    four minima over the prefix.  Every inequality is checked on the way,
+    so the count does not rest on how much the prefix bounds prune.  For
+    a polymatroid rank function they describe the projection of the base
+    polytope, so every prefix extends to a base and no more prefixes than
+    bases are visited.  Returns None, before doing their work, when more
+    than ``limit`` prefixes of n - 2 coordinates are due.  No point is
+    stored.
     """
     n = rho.n
     r = [t * v for v in rho.values]
@@ -449,41 +454,30 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
     full = (1 << n) - 1
     low = [total - r[full ^ mask] for mask in range(1 << n)]
-    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one searched
-    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the full prefix
+    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one with its own interval
+    upper, lower = r[last : 2 * last], low[last : 2 * last]  # on A + {n-2}
+    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the prefix
     down = r[4 * last : 6 * last]  # r(A + {n})
-    sums = [0] * last
     count = 0
     prefixes = 0
-
-    def search(bit: int) -> bool:
-        nonlocal count, prefixes
-        below = sums[:bit]
-        hi = min(map(sub, r[bit : 2 * bit], below))
-        lo = max(0, max(map(sub, low[bit : 2 * bit], below)))
-        if bit < last:
-            for v in range(lo, hi + 1):
-                sums[bit : 2 * bit] = [x + v for x in below]
-                if not search(2 * bit):
-                    return False
-            return True
+    for _, below in _prefixes(r, low, n - 3):
+        hi = min(map(sub, upper, below))
+        lo = max(0, max(map(sub, lower, below)))
         prefixes += max(0, hi - lo + 1)
         if prefixes > limit:
-            return False
+            return None
         # with v in coordinate n - 2 and head - v left for the last two,
         # coordinate n - 1 ranges over [max(floor, gap - v), min(ceil, top - v)]
         head = total - below[-1]
-        ceil = min(map(sub, up[:bit], below))
-        top = min(head, min(map(sub, up[bit:], below)))
-        floor = max(0, head - min(map(sub, down[bit:], below)))
-        gap = head - min(map(sub, down[:bit], below))
+        ceil = min(map(sub, up[:last], below))
+        top = min(head, min(map(sub, up[last:], below)))
+        floor = max(0, head - min(map(sub, down[last:], below)))
+        gap = head - min(map(sub, down[:last], below))
         for v in range(lo, hi + 1):
             width = min(ceil, top - v) - max(floor, gap - v) + 1
             if width > 0:
                 count += width
-        return True
-
-    return count if search(1) else None
+    return count
 
 
 def membership(rho: RankFunction, u: Vector) -> bool:
@@ -493,26 +487,30 @@ def membership(rho: RankFunction, u: Vector) -> bool:
     return all(map(le, subset_sums(u), rho.values))
 
 
-def _points_within(values: tuple, n: int) -> frozenset:
-    """All u >= 0 with u(A) <= values[A] for every mask A (DFS with pruning).
+def _prefixes(upper, lower, depth: int, x: Vector = (), sums: tuple = (0,)) -> Iterator[tuple]:
+    """Every x >= 0 on the first depth coordinates with lower[A] <= x(A) <=
+    upper[A] for each mask A inside them, as (x, the subset sums of x),
+    lexicographically; lower may be None.
 
-    The search keeps the subset sums of the fixed prefix, so coordinate k
-    ranges up to the least values[A + {k}] - u(A) over the masks A below k.
+    Coordinate k ranges over the interval that the bounds on the masks
+    with top element k leave, given the subset sums of the prefix.
     """
-    points: list = []
-    prefix = [0] * n
+    k = len(x)
+    if k == depth:
+        yield x, sums
+        return
+    bit = 1 << k
+    hi = min(map(sub, upper[bit : 2 * bit], sums))
+    lo = 0 if lower is None else max(0, max(map(sub, lower[bit : 2 * bit], sums)))
+    for v in range(lo, hi + 1):
+        yield from _prefixes(upper, lower, depth, x + (v,), sums + tuple([s + v for s in sums]))
 
-    def rec(k: int, sums: list) -> None:
-        if k == n:
-            points.append(tuple(prefix))
-            check_cap(len(points), "polymatroid enumeration")
-            return
-        for x in range(min(map(sub, values[1 << k : 2 << k], sums)) + 1):
-            prefix[k] = x
-            rec(k + 1, sums + [s + x for s in sums])
 
-    rec(0, [0])
-    return frozenset(points)
+def _points_within(values: tuple, n: int) -> frozenset:
+    """All u >= 0 with u(A) <= values[A] for every mask A."""
+    points = frozenset(islice((u for u, _ in _prefixes(values, None, n)), max_points() + 1))
+    check_cap(len(points), "polymatroid enumeration")
+    return points
 
 
 def polymatroid_from_rank(rho: RankFunction) -> DiscretePolymatroid:
@@ -531,8 +529,11 @@ def hull_consistency(P: DiscretePolymatroid | VectorSet) -> bool:
     the lattice points of its convex hull); for other downward-closed
     sets it fails and certifies the defect.
     """
-    pts = P.points if isinstance(P, DiscretePolymatroid) else P.vectors
-    return _points_within(_max_subset_sums(pts, P.n), P.n) == pts
+    if isinstance(P, DiscretePolymatroid):  # every point lies below a base
+        pts, top = P.points, P.bases
+    else:
+        pts = top = P.vectors
+    return _points_within(_max_subset_sums(top, P.n), P.n) == pts
 
 
 # --- structural operations --------------------------------------------------

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .algebra import _packer
-from .core import SizeCapExceeded, Vector, Verdict, check_cap, sorted_vectors
+from .core import SizeCapExceeded, Vector, Verdict, check_cap, packer, sorted_vectors
 from .polymatroid import BaseSet, _symmetric_moves, is_base_set
 
 
@@ -91,7 +90,7 @@ def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None
 def _fiber_groups(ordered: tuple, m: int) -> list[list[tuple[int, ...]]]:
     """The degree-m multisets of ordered as ascending index tuples, grouped
     by vector sum; groups in order of their sums, members in order."""
-    _, packed = _packer(ordered, m)
+    _, packed = packer(ordered, m)
     grouped: dict[int, list] = {}
     combos = combinations_with_replacement(range(len(ordered)), m)
     for combo, key in zip(combos, map(sum, combinations_with_replacement(packed, m))):

@@ -2,10 +2,13 @@
 
 Everything here is written straight from the definitions, with no reuse
 of library internals: plain loops, explicit enumerations, no bitmask
-tricks.  Expected values frozen into tests were produced by these.
+tricks.  Expected values frozen into tests were produced by these.  The
+exceptions are the earlier versions of library kernels at the end,
+kept as differential references for the kernels that replaced them.
 """
 
 from itertools import combinations, combinations_with_replacement, product
+from operator import sub
 
 
 def swap(u, i, j):
@@ -342,3 +345,91 @@ def white_check(vectors, m, moves=None):
             reps = sorted(min(members[k] for k in range(len(members)) if dsu.find(k) == r) for r in roots)
             return (total, reps[0], reps[1])
     return None
+
+
+# --- earlier library kernels -------------------------------------------------
+
+
+def lattice_basis(rows):
+    """Hermite normal form of the row lattice by column-wise Euclid over
+    every live row, re-sorted at each step; the rows above each new pivot
+    are reduced modulo it."""
+    mat = [list(row) for row in rows if any(row)]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    basis = []
+    row_at = 0
+    for col in range(ncols):
+        while True:
+            live = [r for r in range(row_at, len(mat)) if mat[r][col]]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: abs(mat[r][col]))
+            small, other = live[0], live[1]
+            q = mat[other][col] // mat[small][col]
+            mat[other] = [a - q * b for a, b in zip(mat[other], mat[small])]
+        live = [r for r in range(row_at, len(mat)) if mat[r][col]]
+        if not live:
+            continue
+        r = live[0]
+        mat[row_at], mat[r] = mat[r], mat[row_at]
+        if mat[row_at][col] < 0:
+            mat[row_at] = [-a for a in mat[row_at]]
+        piv = mat[row_at][col]
+        for prev in basis:
+            q = prev[col] // piv
+            if q:
+                for c in range(ncols):
+                    prev[c] -= q * mat[row_at][c]
+        basis.append(mat[row_at])
+        row_at += 1
+    return tuple(tuple(r) for r in basis)
+
+
+def count_bases(rho, t, limit):
+    """Integer bases of t*rho by a nested depth-first search over the
+    first n - 2 coordinates with a closed form for the last two; None once
+    more than limit prefixes of n - 2 coordinates are due."""
+    n = rho.n
+    r = [t * v for v in rho.values]
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    full = (1 << n) - 1
+    low = [total - r[full ^ mask] for mask in range(1 << n)]
+    last = 1 << (n - 3)
+    up = r[2 * last : 4 * last]
+    down = r[4 * last : 6 * last]
+    sums = [0] * last
+    count = 0
+    prefixes = 0
+
+    def search(bit):
+        nonlocal count, prefixes
+        below = sums[:bit]
+        hi = min(map(sub, r[bit : 2 * bit], below))
+        lo = max(0, max(map(sub, low[bit : 2 * bit], below)))
+        if bit < last:
+            for v in range(lo, hi + 1):
+                sums[bit : 2 * bit] = [x + v for x in below]
+                if not search(2 * bit):
+                    return False
+            return True
+        prefixes += max(0, hi - lo + 1)
+        if prefixes > limit:
+            return False
+        head = total - below[-1]
+        ceil = min(map(sub, up[:bit], below))
+        top = min(head, min(map(sub, up[bit:], below)))
+        floor = max(0, head - min(map(sub, down[bit:], below)))
+        gap = head - min(map(sub, down[:bit], below))
+        for v in range(lo, hi + 1):
+            width = min(ceil, top - v) - max(floor, gap - v) + 1
+            if width > 0:
+                count += width
+        return True
+
+    return count if search(1) else None

@@ -388,6 +388,23 @@ def test_large_ground_set_exchange_scans(capsys, tmp_path):
         assert report.get("witness") == (witness and witness + [299])
 
 
+def test_rank_table_past_the_cap_exits_two_before_it_is_built(capsys, monkeypatch, tmp_path):
+    import polymat.polymatroid as polymatroid
+
+    def fail(u):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(polymatroid, "subset_sums", fail)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "1000")
+    n = 20
+    doc = {"kind": "base-set", "n": n, "vectors": [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)]}
+    path = write(tmp_path, "base.json", doc)
+    for command in ("rank", "facets"):
+        code, report = run(capsys, command, path)
+        assert code == 2
+        assert report["error"] == "rank table on [20] needs (2 + 20^2) * 2^20 steps, cap is 1000"
+
+
 def test_base_set_read_for_bases_or_rank_is_not_closed_downward(capsys, tmp_path):
     # the downward closure of this base holds 151^3 points; its rank table has 8
     big = write(tmp_path, "big.json", {"kind": "base-set", "n": 3, "vectors": [[150, 150, 150]]})

@@ -1,5 +1,8 @@
+from random import Random
+
 from hypothesis import given, strategies as st
 
+import oracles
 from polymat.intlinalg import (
     affine_rank,
     in_lattice,
@@ -40,6 +43,35 @@ def test_lattice_basis_is_echelon():
     pivots = [next(c for c, a in enumerate(row) if a) for row in basis]
     assert pivots == sorted(pivots)
     assert all(row[p] > 0 for row, p in zip(basis, pivots))
+
+
+def test_lattice_basis_matches_oracle_on_random_matrices():
+    # negative entries, zero and repeated rows, often more rows than columns
+    rng = Random(0)
+    for _ in range(20_000):
+        ncols = rng.randint(1, 6)
+        rows = [
+            [rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+            for _ in range(rng.randint(0, 9))
+        ]
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        assert lattice_basis(rows) == oracles.lattice_basis(rows), rows
+
+
+def test_lattice_basis_matches_oracle_on_pool_generators(instance_pool, positive_pool, scan_pool):
+    # the difference rows graded_generators builds, for point and base rings
+    sets = [list(B.vectors) for B in scan_pool]
+    for _, P in instance_pool + positive_pool:
+        sets += [[u + (1,) for u in P.points], list(P.bases)]
+    for gens in sets:
+        origin = min(gens)
+        rows = [[a - b for a, b in zip(g, origin)] for g in sorted(gens)]
+        expected = oracles.lattice_basis(rows)
+        assert lattice_basis(rows) == expected
+        assert lattice_basis(rows[::-1]) == expected
 
 
 @given(

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import polymat.polymatroid as polymatroid
 from polymat import (
     RankFunction,
+    SizeCapExceeded,
     VectorSet,
     base_set,
     base_set_rank,
     bases,
     contract,
+    count_bases,
     discrete_polymatroid,
     downward_closure,
+    ehrhart_generators,
     greedy_vertex,
     hull_consistency,
     is_base_set,
@@ -352,10 +356,62 @@ def test_maximal_vectors():
 def test_downward_closure_respects_cap(monkeypatch):
     import pytest as _pytest
 
-    from polymat import SizeCapExceeded
-
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
     with _pytest.raises(SizeCapExceeded):
         downward_closure(vector_set([(10, 10, 10)]))
     monkeypatch.delenv("POLYMAT_MAX_POINTS")
     assert len(downward_closure(vector_set([(10, 10, 10)]))) == 11**3
+
+
+def _fail(*args):
+    raise AssertionError("enumeration started")
+
+
+def test_downward_closure_refuses_a_large_box_before_listing(monkeypatch):
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "10")
+    monkeypatch.setattr(polymatroid, "product", _fail)
+    with pytest.raises(SizeCapExceeded, match="downward closure needs 3442951 points, cap is 10"):
+        downward_closure(vector_set([(1, 2, 0), (150, 150, 150)]))
+
+
+def test_rank_table_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "1000")
+    monkeypatch.setattr(polymatroid, "subset_sums", _fail)
+    e1, e2 = (1,) + (0,) * 19, (0, 1) + (0,) * 18
+    message = re.escape("rank table on [20] needs (2 + 20^2) * 2^20 steps, cap is 1000")
+    with pytest.raises(SizeCapExceeded, match=message):
+        rank_function(base_set([e1, e2]))
+    with pytest.raises(SizeCapExceeded, match=message):
+        hull_consistency(vector_set([e1, e2]))
+
+
+def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool):
+    # every limit up to the first that gives a count, on the pools' rank functions
+    for rho, _ in instance_pool + positive_pool:
+        for t in (1, 2):
+            limit = 0
+            while (got := count_bases(rho, t, limit)) is None:
+                assert oracles.count_bases(rho, t, limit) is None, (rho, t, limit)
+                limit += 1
+            assert got == oracles.count_bases(rho, t, limit), (rho, t, limit)
+    # the lifted ranks that count the point rings, refused and in full
+    for _, P in instance_pool:
+        rho = ehrhart_generators(P).rank
+        for t in (1, 2, 3):
+            for limit in (0, 10**9):
+                assert count_bases(rho, t, limit) == oracles.count_bases(rho, t, limit), (rho, t)
+
+
+def test_points_within_matches_oracle(instance_pool, positive_pool):
+    # the pools' rank functions, and the tables hull_consistency builds for
+    # random vector sets, many of them not submodular
+    tables = [(rho.values, rho.n) for rho, _ in instance_pool + positive_pool]
+    rng = Random(5)
+    others = []
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        vectors = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))]
+        others.append((oracles.rank_values(vectors, n), n))
+    assert sum(not validate_rank_function(RankFunction(n, v)) for v, n in others) >= 50
+    for values, n in tables + others:
+        assert polymatroid._points_within(values, n) == oracles.points_under(values, n)
