@@ -29,6 +29,7 @@ from .core import (
     SizeCapExceeded,
     Verdict,
     as_vector,
+    box_count,
     box_points,
     check_cap,
     max_points,
@@ -239,9 +240,10 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
         lo = [t * min(g[c] for g in gens) for c in range(G.n)]
         hi = [t * max(g[c] for g in gens) for c in range(G.n)]
         anchor = tuple(t * a for a in G.origin)
-        for x in box_points(lo, hi, t * shared if shared is not None else None):
-            checked += 1
-            check_cap(checked, "normality box enumeration")
+        total = t * shared if shared is not None else None
+        checked += box_count(lo, hi, total)
+        check_cap(checked, "normality box enumeration")
+        for x in box_points(lo, hi, total):
             if pack(x) in level:
                 continue
             if not in_lattice(G.lattice, [a - b for a, b in zip(x, anchor)]):

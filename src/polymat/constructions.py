@@ -11,10 +11,10 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .core import (
-    SizeCapExceeded,
     Vector,
     Verdict,
     as_vector,
+    box_count,
     box_points,
     check_cap,
     exchange_step,
@@ -41,21 +41,8 @@ def veronese(caps: Iterable[int], d: int) -> BaseSet:
         raise ValueError("modulus must be nonnegative")
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
-    check_cap(_fixed_sum_count(s, d), "Veronese enumeration")
+    check_cap(box_count([0] * len(s), s, d), "Veronese enumeration")
     return base_set(box_points([0] * len(s), s, d))
-
-
-def _fixed_sum_count(caps: Vector, d: int) -> int:
-    """The number of x with 0 <= x <= caps adding up to d, counted for the
-    smaller of d and sum(caps) - d (x -> caps - x swaps them): ways[s] counts
-    the choices of the smaller caps adding up to s; the largest takes the rest."""
-    *rest, top = sorted(caps)
-    d = min(d, sum(caps) - d)
-    ways = [1]
-    for c in rest:
-        acc = list(accumulate(ways + [0] * min(c, d), initial=0))
-        ways = [acc[s + 1] - acc[max(0, s - c)] for s in range(min(d + 1, len(acc) - 1))]
-    return sum(ways[max(0, d - top) : d + 1])
 
 
 def is_strongly_stable(S: VectorSet) -> Verdict:
@@ -77,25 +64,20 @@ def is_strongly_stable(S: VectorSet) -> Verdict:
 
 
 def principal_borel(u: Iterable[int]) -> VectorSet:
-    """Smallest strongly stable set containing u (its Borel generator)."""
+    """Smallest strongly stable set containing u (its Borel generator):
+    the v with |v| = |u| whose prefix sums are at least u's.
+
+    Prefixes of v are listed a coordinate at a time, each level counted
+    against the size cap before it is built.  Every prefix extends, so
+    levels never shrink; the last coordinate takes the rest.
+    """
     start = as_vector(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for i in range(len(v)):
-            if v[i] == 0:
-                continue
-            for j in range(i):
-                w = list(v)
-                w[i] -= 1
-                w[j] += 1
-                t = tuple(w)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        check_cap(len(seen), "Borel closure")
-    return VectorSet(len(start), frozenset(seen))
+    total = sum(start)
+    level = [((), 0)]  # prefixes of v with their sums
+    for floor in accumulate(start):
+        check_cap(sum(total + 1 - max(s, floor) for _, s in level), "Borel closure")
+        level = [(v + (r - s,), r) for v, s in level for r in range(max(s, floor), total + 1)]
+    return VectorSet(len(start), frozenset(v for v, _ in level))
 
 
 # --- sublattice polymatroids --------------------------------------------------
@@ -211,67 +193,32 @@ def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
     return B, rho
 
 
-def is_transversal(
-    P: DiscretePolymatroid, *, max_n: int = 5, max_rank: int = 4
-) -> TransversalPresentation | None:
-    """Search for a presentation generating exactly the bases of P.
+def is_transversal(P: DiscretePolymatroid) -> TransversalPresentation | None:
+    """The presentation generating exactly the bases of P, or None.
 
-    Exhaustive over nondecreasing sequences of nonempty subsets of the
-    support, pruned through the counting rank function; the first hit in
-    lexicographic order is returned, None when the search is complete
-    and empty.
+    f(Y) = d - rho([n] - Y) counts the members of a presentation inside
+    Y, so Moebius inversion over subsets turns f into the multiplicity
+    of each member: the presentation is unique up to order and exists
+    exactly when every multiplicity is nonnegative.  It is returned with
+    its masks ascending.  Past rank zero, the rank table is refused by
+    the size cap as in :func:`rank_function`.
     """
-    if P.n > max_n or P.rank > max_rank:
-        raise SizeCapExceeded(
-            f"search caps are n <= {max_n}, rank <= {max_rank}; "
-            f"got n = {P.n}, rank = {P.rank}"
-        )
     n, d = P.n, P.rank
-    rho = rank_function(P.base_set)
     if d == 0:
         return None  # no nonempty family has rank zero
-    support = 0
-    for u in P.bases:
-        for i in range(n):
-            if u[i]:
-                support |= 1 << i
-    candidates = [m for m in range(1, 1 << n) if m & support == m]
-    nmasks = 1 << n
-    counts = [0] * nmasks
-    chosen: list[int] = []
-    target = rho.values
-
-    def feasible(level: int) -> bool:
-        remaining = d - level
-        for x in range(1, nmasks):
-            if counts[x] > target[x] or counts[x] + remaining < target[x]:
-                return False
-        return True
-
-    def rec(start: int, level: int) -> TransversalPresentation | None:
-        if level == d:
-            pres = TransversalPresentation(n, tuple(chosen))
-            B, _ = transversal(pres)
-            if B.vectors == P.bases:
-                return pres
-            return None
-        for idx in range(start, len(candidates)):
-            mask = candidates[idx]
-            for x in range(1, nmasks):
-                if mask & x:
-                    counts[x] += 1
-            chosen.append(mask)
-            if feasible(level + 1):
-                hit = rec(idx, level + 1)
-                if hit is not None:
-                    return hit
-            chosen.pop()
-            for x in range(1, nmasks):
-                if mask & x:
-                    counts[x] -= 1
+    full = (1 << n) - 1
+    rho = rank_function(P.base_set).values
+    mult = [d - rho[full ^ mask] for mask in subsets(n)]
+    for i in range(n):
+        bit = 1 << i
+        for mask in subsets(n):
+            if mask & bit:
+                mult[mask] -= mult[mask ^ bit]
+    if min(mult) < 0:
         return None
-
-    return rec(0, 0)
+    pres = TransversalPresentation(n, tuple(m for m in subsets(n) for _ in range(mult[m])))
+    B, _ = transversal(pres)
+    return pres if B.vectors == P.bases else None
 
 
 # --- Gorenstein principal Borel sets ------------------------------------------

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 from typing import Iterable, Iterator
 
 Vector = tuple[int, ...]
@@ -186,6 +187,29 @@ def box_points(lo: list[int], hi: list[int], total: int | None = None) -> Iterat
             return
         x[k] += 1
         k, rest = k + 1, rest - 1
+
+
+def box_count(lo: list[int], hi: list[int], total: int | None = None) -> int:
+    """The number of points :func:`box_points` lists, without listing them.
+
+    With no total, the product of the ranges.  With one, the fixed-sum
+    count is taken for the smaller of the excess d = total - sum(lo) and
+    its complement (x -> lo + hi - x swaps them): ways[s] counts the
+    choices of the narrower ranges adding up to s; the widest takes the rest.
+    """
+    widths = [b - a for a, b in zip(lo, hi)]
+    if total is None:
+        return prod(w + 1 for w in widths)
+    d = total - sum(lo)
+    d = min(d, sum(widths) - d)
+    if d < 0:
+        return 0
+    *rest, top = sorted(widths)
+    ways = [1]
+    for c in rest:
+        acc = list(accumulate(ways + [0] * min(c, d), initial=0))
+        ways = [acc[s + 1] - acc[max(0, s - c)] for s in range(min(d + 1, len(acc) - 1))]
+    return sum(ways[max(0, d - top) : d + 1])
 
 
 # --- ground subsets as bitmasks -------------------------------------------

@@ -445,6 +445,8 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     than ``limit`` prefixes of n - 2 coordinates are due.  No point is
     stored.
     """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
     n = rho.n
     r = [t * v for v in rho.values]
     total = r[-1]
@@ -482,6 +484,7 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
 
 def membership(rho: RankFunction, u: Vector) -> bool:
     """u lies in the polymatroid of rho iff u(A) <= rho(A) for every A."""
+    u = as_vector(u)
     if len(u) != rho.n:
         raise ValueError(f"dimension mismatch: vector of length {len(u)} vs ground set [{rho.n}]")
     return all(map(le, subset_sums(u), rho.values))

@@ -433,3 +433,83 @@ def count_bases(rho, t, limit):
         return True
 
     return count if search(1) else None
+
+
+def transversal_bases(n, family):
+    """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from the kth mask."""
+    out = set()
+    for choice in product(*([i for i in range(n) if mask >> i & 1] for mask in family)):
+        u = [0] * n
+        for i in choice:
+            u[i] += 1
+        out.add(tuple(u))
+    return out
+
+
+def transversal_search(bases, n, d):
+    """The presentation search that the Moebius inversion replaced: the
+    first nondecreasing sequence of d nonempty masks inside the support
+    whose transversal has exactly these bases, pruned through the
+    counting rank function; None when there is none."""
+    if d == 0:
+        return None
+    target = rank_values(bases, n)
+    support = 0
+    for u in bases:
+        for i in range(n):
+            if u[i]:
+                support |= 1 << i
+    candidates = [m for m in range(1, 1 << n) if m & support == m]
+    nmasks = 1 << n
+    counts = [0] * nmasks
+    chosen = []
+
+    def feasible(level):
+        remaining = d - level
+        for x in range(1, nmasks):
+            if counts[x] > target[x] or counts[x] + remaining < target[x]:
+                return False
+        return True
+
+    def rec(start, level):
+        if level == d:
+            return tuple(chosen) if transversal_bases(n, chosen) == set(bases) else None
+        for idx in range(start, len(candidates)):
+            mask = candidates[idx]
+            for x in range(1, nmasks):
+                if mask & x:
+                    counts[x] += 1
+            chosen.append(mask)
+            if feasible(level + 1):
+                hit = rec(idx, level + 1)
+                if hit is not None:
+                    return hit
+            chosen.pop()
+            for x in range(1, nmasks):
+                if mask & x:
+                    counts[x] -= 1
+        return None
+
+    return rec(0, 0)
+
+
+def borel_closure(u, cap=None):
+    """The closure of u under moving one unit to a smaller index, by the
+    depth-first search that the prefix-sum listing replaced; None once
+    more than cap vectors are seen (checked after each expansion)."""
+    start = tuple(u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for i in range(len(v)):
+            if v[i] == 0:
+                continue
+            for j in range(i):
+                t = swap(v, i, j)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if cap is not None and len(seen) > cap:
+            return None
+    return seen

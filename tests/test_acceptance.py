@@ -192,6 +192,8 @@ def test_criterion_08_transversal():
                 if found is None:
                     failures.append((n, fam, "no presentation found"))
                     continue
+                if found.family != oracles.transversal_search(P.bases, n, P.rank):
+                    failures.append((n, fam, "differs from the presentation search"))
                 B2, _ = transversal(found)
                 if B2.vectors != B.vectors:
                     failures.append((n, fam, "wrong presentation"))

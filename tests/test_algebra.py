@@ -273,6 +273,30 @@ def test_normality_detects_gap():
     assert verdict.witness == (1, (1, 2))
 
 
+def test_normality_cap_is_checked_before_each_box(monkeypatch):
+    import polymat.algebra as algebra
+
+    box_points = algebra.box_points
+
+    def listing(*args):
+        raise AssertionError("box listed past the cap")
+
+    # the degree-1 box of the gap example holds the 4 points of modulus 3; it
+    # is refused whole, though the witness (2, 1) is only its third point
+    monkeypatch.setattr(algebra, "box_points", listing)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "3")
+    with pytest.raises(SizeCapExceeded, match="box enumeration needs 4 points, cap is 3"):
+        normality_check(graded_generators([(3, 0), (1, 2), (0, 3)]), 2)
+    # with no shared modulus, boxes of 4 and 9 points: the running total is capped
+    monkeypatch.setattr(algebra, "box_points", box_points)
+    G = graded_generators([(0, 0, 1), (1, 1, 1)])
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "12")
+    with pytest.raises(SizeCapExceeded, match="box enumeration needs 13 points, cap is 12"):
+        normality_check(G, 2)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "13")
+    assert normality_check(G, 2)
+
+
 def test_normality_rejects_bad_tmax(borel_211):
     with pytest.raises(ValueError):
         normality_check(base_ring_generators(borel_211), 0)

@@ -294,6 +294,24 @@ def test_is_transversal_verbs(capsys, tmp_path):
     code, report = run(capsys, "is-transversal", pfile)
     assert code == 1
     assert report["verdict"] is False
+    # the cube of rank 2 on [6], presented by [6] twice
+    points = [list(u) for u in product(range(3), repeat=6) if sum(u) <= 2]
+    cube = write(tmp_path, "cube6.json", {"kind": "vector-set", "n": 6, "vectors": points})
+    code, report = run(capsys, "is-transversal", cube)
+    assert code == 0
+    assert report["presentation"] == [[1, 2, 3, 4, 5, 6]] * 2
+
+
+def test_construct_borel_cap_boundary(capsys, monkeypatch):
+    # the Borel closure of (0, 1, 0, 1) has seven vectors
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "6")
+    code, report = run(capsys, "construct", "borel", "--generator", "0,1,0,1")
+    assert code == 2
+    assert report["error"] == "Borel closure needs 7 points, cap is 6"
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "7")
+    code, report = run(capsys, "construct", "borel", "--generator", "0,1,0,1")
+    assert code == 0
+    assert len(report["result"]["vectors"]) == 7
 
 
 def test_structure_verbs(capsys, tmp_path):

@@ -1,4 +1,5 @@
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from polymat import (
     ExchangeMode,
     RankFunction,
     SizeCapExceeded,
+    TransversalPresentation,
     VectorSet,
     base_set,
     borel_gorenstein,
@@ -110,6 +112,31 @@ def test_principal_borel_examples():
     assert principal_borel((0, 1, 0, 1)).vectors == set(BOREL_0101)
     assert principal_borel((4, 0, 0)).vectors == {(4, 0, 0)}
     assert principal_borel((2, 1, 1)).vectors == set(BOREL_211)
+
+
+def test_principal_borel_matches_closure_search():
+    small = [u for n in range(1, 5) for u in product(range(4), repeat=n)]
+    wide = [u for u in product(range(4), repeat=5) if sum(u) <= 7]
+    for u in small + wide:
+        assert principal_borel(u).vectors == oracles.borel_closure(u), u
+
+
+def test_principal_borel_cap_boundary(monkeypatch):
+    generators = (
+        (2,), (0, 3), (1, 1, 1), (0, 1, 0, 1), (2, 0, 2), (0, 0, 0, 4), (1, 2, 0, 1, 1), (0, 0, 0, 0, 6, 2)
+    )
+    for u in generators:
+        size = len(oracles.borel_closure(u))
+        for cap in (size - 1, size, size + 1):
+            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(cap))
+            if oracles.borel_closure(u, cap) is None:
+                with pytest.raises(SizeCapExceeded):
+                    principal_borel(u)
+            else:
+                assert len(principal_borel(u)) == size
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "0")
+    with pytest.raises(SizeCapExceeded):
+        principal_borel((3,))
 
 
 @settings(max_examples=40)
@@ -236,11 +263,34 @@ def test_is_transversal_round_trip_sample():
         assert B2.vectors == B.vectors
 
 
-def test_is_transversal_caps():
+def test_is_transversal_caps(monkeypatch):
     P = polymatroid_from_rank(RankFunction(3, (0,) + (5,) * 7))
-    with pytest.raises(SizeCapExceeded):
+    assert is_transversal(P).subsets_as_elements() == ((1, 2, 3),) * 5
+    P = closure_polymatroid([(1,) * 6])
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
+    with pytest.raises(SizeCapExceeded, match="rank table"):
         is_transversal(P)
-    assert is_transversal(P, max_rank=5) is not None
+    assert is_transversal(closure_polymatroid([(0,) * 6])) is None
+
+
+def test_is_transversal_matches_search_on_pool(instance_pool):
+    vals = tuple(0 if m == 0 else min(2 * bin(m).count("1"), 3) for m in range(16))
+    pool = [P for _, P in instance_pool if P.rank <= 4]
+    pool.append(polymatroid_from_rank(RankFunction(4, vals)))
+    for P in pool:
+        found = is_transversal(P)
+        assert (None if found is None else found.family) == oracles.transversal_search(
+            P.bases, P.n, P.rank
+        )
+
+
+def test_is_transversal_recovers_seeded_presentations():
+    for seed in range(300):
+        rng = Random(seed)
+        n = rng.randint(5, 7)
+        fam = sorted(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 5)))
+        _, rho = transversal(TransversalPresentation(n, tuple(fam)))
+        assert is_transversal(polymatroid_from_rank(rho)).family == tuple(fam)
 
 
 # --- Gorenstein principal Borel sets -------------------------------------------------

@@ -19,7 +19,7 @@ from polymat import (
     unit,
     zero,
 )
-from polymat.core import box_points, check_cap, subset_sums
+from polymat.core import box_count, box_points, check_cap, subset_sums
 
 vectors = st.lists(st.integers(0, 6), min_size=1, max_size=6).map(tuple)
 
@@ -134,6 +134,7 @@ def test_box_points_lexicographic(bounds, total):
     boxed = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     expected = [x for x in boxed if total is None or sum(x) == total]
     assert list(box_points(lo, hi, total)) == expected
+    assert box_count(lo, hi, total) == len(expected)
 
 
 def test_box_points_on_many_coordinates():
@@ -143,6 +144,7 @@ def test_box_points_on_many_coordinates():
     assert len(points) == n
     assert points[0] == (0,) * (n - 1) + (1,) and points[-1] == (1,) + (0,) * (n - 1)
     assert list(box_points([], [], 0)) == [()] and list(box_points([], [], 1)) == []
+    assert box_count([0] * n, [1] * n, 1) == n
 
 
 def test_eval_rejects_out_of_range_mask():

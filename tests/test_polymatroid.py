@@ -226,6 +226,14 @@ def test_membership_example():
         membership(rho, (1, 1))
 
 
+def test_membership_rejects_non_lattice_points():
+    rho = RankFunction(2, (0, 1, 1, 1))
+    assert (-1, 0) not in polymatroid_from_rank(rho)
+    for u in ((-1, 0), (0.5, 0), (True, 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            membership(rho, u)
+
+
 def test_hull_consistency_examples(stable_five):
     assert hull_consistency(cube(3, 3))
     assert hull_consistency(discrete_polymatroid(vector_set([(0, 0)])))
@@ -383,6 +391,13 @@ def test_rank_table_past_the_cap_is_refused_before_it_is_built(monkeypatch):
         rank_function(base_set([e1, e2]))
     with pytest.raises(SizeCapExceeded, match=message):
         hull_consistency(vector_set([e1, e2]))
+
+
+def test_count_bases_refuses_negative_degrees():
+    for rho in (RankFunction(1, (0, 3)), constant_rank(2, 2), constant_rank(4, 2)):
+        assert count_bases(rho, 0, 10) == 1
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            count_bases(rho, -1, 10)
 
 
 def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool):
