@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator")
     p.add_argument("--alpha")
     p.add_argument("--rank", type=int)
-    p = add("is-transversal", "search for a transversal presentation",
+    p = add("is-transversal", "transversal presentation by Moebius inversion",
             handler=_cmd_is_transversal, read=_polymatroid)
     p = add("truncate", "restrict to a smaller rank", handler=_cmd_truncate, read=_polymatroid)
     p.add_argument("--rank", type=int, required=True)

@@ -432,53 +432,54 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
     and |u| = t*rho([n]).
 
-    The prefixes of the first n - 3 coordinates come from
-    :func:`_prefixes` under u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
-    t*rho([n] - A).  Coordinate n - 2 ranges over the interval those
-    bounds leave, and the last two coordinates have a fixed sum, so each
-    value of it adds the length of one interval, summed in one loop from
-    four minima over the prefix.  Every inequality is checked on the way,
-    so the count does not rest on how much the prefix bounds prune.  For
-    a polymatroid rank function they describe the projection of the base
-    polytope, so every prefix extends to a base and no more prefixes than
-    bases are visited.  Returns None, before doing their work, when more
-    than ``limit`` prefixes of n - 2 coordinates are due.  No point is
-    stored.
+    Counted by contraction.  A state is a residual table g on the
+    coordinates left (the next one at bit 0) with the mass rem left.
+    Fixing the next coordinate at v in [max(0, rem - g(rest)), g(next)],
+    the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) - t*rho([n] - A)
+    on the masks it ends, leaves g'(B) = min(g(B), g(B + next) - v) and
+    rem - v.  Equal states have equally many completions, so each level
+    maps its states to the number of prefixes reaching them.  The last
+    three coordinates take one interval per state, read off four entries
+    of it.  Every inequality is checked, so the count does not rest on
+    submodularity.  Returns None when more than ``limit`` prefixes of
+    n - 2 coordinates are due (each state times its interval's width),
+    before counting them.  Every prefix of a rank function extends to a
+    base, so such a table is refused at the first level past ``limit``
+    and no level built has more states.  No point is stored.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     n = rho.n
-    r = [t * v for v in rho.values]
+    r = tuple(t * v for v in rho.values)
     total = r[-1]
     if n == 1:
         return 1
     if n == 2:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    full = (1 << n) - 1
-    low = [total - r[full ^ mask] for mask in range(1 << n)]
-    last = 1 << (n - 3)  # bit of coordinate n - 2, the last one with its own interval
-    upper, lower = r[last : 2 * last], low[last : 2 * last]  # on A + {n-2}
-    up = r[2 * last : 4 * last]  # r(A + {n-1}) for A inside the prefix
-    down = r[4 * last : 6 * last]  # r(A + {n})
-    count = 0
-    prefixes = 0
-    for _, below in _prefixes(r, low, n - 3):
-        hi = min(map(sub, upper, below))
-        lo = max(0, max(map(sub, lower, below)))
-        prefixes += max(0, hi - lo + 1)
-        if prefixes > limit:
+    states = {(r, total): 1}
+    for left in range(n - 3, -1, -1):
+        due = sum(mult * max(0, g[1] - max(0, rem - g[-2]) + 1) for (g, rem), mult in states.items())
+        if due > limit and (not left or validate_rank_function(rho)):
             return None
-        # with v in coordinate n - 2 and head - v left for the last two,
-        # coordinate n - 1 ranges over [max(floor, gap - v), min(ceil, top - v)]
-        head = total - below[-1]
-        ceil = min(map(sub, up[:last], below))
-        top = min(head, min(map(sub, up[last:], below)))
-        floor = max(0, head - min(map(sub, down[last:], below)))
-        gap = head - min(map(sub, down[:last], below))
-        for v in range(lo, hi + 1):
+        if not left:
+            break
+        level: dict = {}
+        for (g, rem), mult in states.items():
+            keep, drop = g[0::2], g[1::2]
+            for v in range(max(0, rem - g[-2]), g[1] + 1):
+                child = (tuple(map(min, keep, [x - v for x in drop])), rem - v)
+                level[child] = level.get(child, 0) + mult
+        states = level
+    # coordinate n - 2 at v, and n - 1 in [max(floor, gap - v), min(ceil, top - v)]
+    count = 0
+    for (g, rem), mult in states.items():
+        ceil, top, floor, gap = g[2], min(rem, g[3]), max(0, rem - g[5]), rem - g[4]
+        widths = 0
+        for v in range(max(0, rem - g[6]), g[1] + 1):
             width = min(ceil, top - v) - max(floor, gap - v) + 1
             if width > 0:
-                count += width
+                widths += width
+        count += mult * widths
     return count
 
 
@@ -490,28 +491,25 @@ def membership(rho: RankFunction, u: Vector) -> bool:
     return all(map(le, subset_sums(u), rho.values))
 
 
-def _prefixes(upper, lower, depth: int, x: Vector = (), sums: tuple = (0,)) -> Iterator[tuple]:
-    """Every x >= 0 on the first depth coordinates with lower[A] <= x(A) <=
-    upper[A] for each mask A inside them, as (x, the subset sums of x),
-    lexicographically; lower may be None.
+def _prefixes(upper, depth: int, x: Vector = (), sums: tuple = (0,)) -> Iterator[Vector]:
+    """Every x >= 0 on the first depth coordinates with x(A) <= upper[A]
+    for each mask A inside them, lexicographically.
 
-    Coordinate k ranges over the interval that the bounds on the masks
-    with top element k leave, given the subset sums of the prefix.
+    Coordinate k ranges up to the bound that the masks with top element k
+    leave, given the subset sums of the prefix.
     """
     k = len(x)
     if k == depth:
-        yield x, sums
+        yield x
         return
     bit = 1 << k
-    hi = min(map(sub, upper[bit : 2 * bit], sums))
-    lo = 0 if lower is None else max(0, max(map(sub, lower[bit : 2 * bit], sums)))
-    for v in range(lo, hi + 1):
-        yield from _prefixes(upper, lower, depth, x + (v,), sums + tuple([s + v for s in sums]))
+    for v in range(min(map(sub, upper[bit : 2 * bit], sums)) + 1):
+        yield from _prefixes(upper, depth, x + (v,), sums + tuple([s + v for s in sums]))
 
 
 def _points_within(values: tuple, n: int) -> frozenset:
     """All u >= 0 with u(A) <= values[A] for every mask A."""
-    points = frozenset(islice((u for u, _ in _prefixes(values, None, n)), max_points() + 1))
+    points = frozenset(islice(_prefixes(values, n), max_points() + 1))
     check_cap(len(points), "polymatroid enumeration")
     return points
 

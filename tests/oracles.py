@@ -435,6 +435,57 @@ def count_bases(rho, t, limit):
     return count if search(1) else None
 
 
+def count_bases_dfs(rho, t, limit):
+    """Integer bases of t*rho by the prefix search that the contraction
+    counter replaced: every prefix of the first n - 3 coordinates under
+    the upper bounds t*rho(A) and the lower bounds t*rho([n]) -
+    t*rho([n] - A), an interval for coordinate n - 2, and the closed form
+    for the last two; None once more than limit prefixes of n - 2
+    coordinates are due."""
+    n = rho.n
+    r = [t * v for v in rho.values]
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    full = (1 << n) - 1
+    low = [total - r[full ^ mask] for mask in range(1 << n)]
+
+    def prefixes(depth, sums=(0,)):
+        bit = len(sums)
+        if bit == 1 << depth:
+            yield sums
+            return
+        hi = min(map(sub, r[bit : 2 * bit], sums))
+        lo = max(0, max(map(sub, low[bit : 2 * bit], sums)))
+        for v in range(lo, hi + 1):
+            yield from prefixes(depth, sums + tuple([s + v for s in sums]))
+
+    last = 1 << (n - 3)
+    upper, lower = r[last : 2 * last], low[last : 2 * last]
+    up = r[2 * last : 4 * last]
+    down = r[4 * last : 6 * last]
+    count = 0
+    seen = 0
+    for below in prefixes(n - 3):
+        hi = min(map(sub, upper, below))
+        lo = max(0, max(map(sub, lower, below)))
+        seen += max(0, hi - lo + 1)
+        if seen > limit:
+            return None
+        head = total - below[-1]
+        ceil = min(map(sub, up[:last], below))
+        top = min(head, min(map(sub, up[last:], below)))
+        floor = max(0, head - min(map(sub, down[last:], below)))
+        gap = head - min(map(sub, down[:last], below))
+        for v in range(lo, hi + 1):
+            width = min(ceil, top - v) - max(floor, gap - v) + 1
+            if width > 0:
+                count += width
+    return count
+
+
 def transversal_bases(n, family):
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from the kth mask."""
     out = set()

@@ -641,3 +641,75 @@ def test_main_keeps_the_exit_code_contract(tmp_path, kind, data):
     report = json.loads(lines[0])
     assert isinstance(report, dict)
     assert not report.get("error", "").startswith("internal error")
+
+
+# --- the exit-code contract on argument values ----------------------------------
+
+# Comma strings with empty, negative, non-integer or too many or too few
+# entries, and a few that some calls accept.
+_CSV = st.sampled_from(["2,1,1", "4,0,0", "1,1", "2,3"]) | st.lists(
+    st.sampled_from(["", "-1", "0", "1", "2", "3", "x", "1.5"]), max_size=4
+).map(",".join)
+
+
+def _int_flag(name, lo, hi):
+    """An integer option in lo..hi, or a value argparse refuses."""
+    value = st.integers(lo, hi).map(str) | st.sampled_from(["", "x", "1.5"])
+    return value.map(lambda v: f"--{name}={v}")
+
+
+def _csv_flag(name):
+    return _CSV.map(lambda v: f"--{name}={v}")
+
+
+_WHICH = st.sampled_from(["--which=base", "--which=ehrhart"])
+
+# Calls on a document whose option values vary; the ranges stay small, since
+# the caps bound each degree, not the number of degrees.
+_READING = st.one_of(
+    st.tuples(st.just("hilbert"), _WHICH, _int_flag("terms", -3, 6)),
+    st.tuples(st.just("normality"), _WHICH, _int_flag("tmax", -3, 6)),
+    st.tuples(st.just("white"), _int_flag("degree", -2, 5), _int_flag("max-base-size", -1, 4)),
+    st.tuples(st.just("truncate"), _int_flag("rank", -2, 9)),
+    st.tuples(st.just("contract"), _csv_flag("at")),
+    st.tuples(st.just("rewrite"), _csv_flag("seq"), _csv_flag("seq")),
+)
+
+# Constructions from their options alone.
+_CONSTRUCT = st.one_of(
+    st.tuples(st.just("veronese"), _csv_flag("caps"), _int_flag("rank", -2, 9)),
+    st.tuples(st.just("generic-gorenstein"), _csv_flag("alpha"), _int_flag("rank", -2, 9)),
+    st.tuples(st.just("borel"), _csv_flag("generator")),
+)
+
+_ARGUMENT_DOCUMENTS = [
+    {"kind": "base-set", "n": 3, "vectors": [[2, 1, 1], [2, 2, 0], [3, 0, 1], [3, 1, 0], [4, 0, 0]]},
+    {"kind": "vector-set", "n": 2, "vectors": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+    {"kind": "rank-function", "n": 2, "values": [0, 1, 2, 2]},
+]
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_argument_values_keep_the_exit_code_contract(tmp_path, data):
+    path = write(tmp_path, "doc.json", data.draw(st.sampled_from(_ARGUMENT_DOCUMENTS)))
+    argv = data.draw(
+        _READING.map(lambda head: [*head, path]) | _CONSTRUCT.map(lambda head: ["construct", *head])
+    )
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value that fails to parse
+            assert exc.code == 2 and out.getvalue() == "", argv
+            return
+    assert code in (0, 1, 2), argv
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, argv
+    report = json.loads(lines[0])
+    assert not report.get("error", "").startswith("internal error"), (argv, report)

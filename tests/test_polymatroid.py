@@ -29,6 +29,7 @@ from polymat import (
     polymatroid_sum,
     rank_function,
     rank_function_from_values,
+    random_rank_function,
     subset_mask,
     truncate,
     validate_rank_function,
@@ -415,6 +416,86 @@ def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool)
         for t in (1, 2, 3):
             for limit in (0, 10**9):
                 assert count_bases(rho, t, limit) == oracles.count_bases(rho, t, limit), (rho, t)
+
+
+def _agrees_with_both_oracles_at_every_limit(rho, t):
+    """The count, or None, equals both oracles' at every limit from 0 up to
+    the first that gives a count."""
+    limit = 0
+    while (got := count_bases(rho, t, limit)) is None:
+        assert oracles.count_bases(rho, t, limit) is None, (rho, t, limit)
+        assert oracles.count_bases_dfs(rho, t, limit) is None, (rho, t, limit)
+        limit += 1
+    assert got == oracles.count_bases(rho, t, limit) == oracles.count_bases_dfs(rho, t, limit), (
+        rho,
+        t,
+        limit,
+    )
+
+
+def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
+    # tables with entries in -1..4: uniform ones, which mostly have no base,
+    # and rank functions with a few entries redrawn, which often keep some
+    rng = Random(13)
+    tables = []
+    for _ in range(200):
+        n = rng.randint(3, 6)
+        if rng.random() < 0.5:
+            values = [0] + [rng.randint(-1, 4) for _ in range((1 << n) - 1)]
+        else:
+            values = list(random_rank_function(rng, n, 4).values)
+            for _ in range(rng.randint(1, 3)):
+                values[rng.randrange(1, 1 << n)] = rng.randint(-1, 4)
+        rho = RankFunction(n, tuple(values))
+        tables.append(rho)
+        _agrees_with_both_oracles_at_every_limit(rho, rng.randint(0, 3))
+    others = [rho for rho in tables if not validate_rank_function(rho)]
+    assert len(others) >= 180
+    assert sum(count_bases(rho, 2, 10**9) > 0 for rho in others) >= 50
+
+
+def test_count_bases_matches_both_oracles_on_random_rank_functions():
+    rng = Random(12)
+    for n in range(2, 8):
+        for _ in range(12):
+            rho = random_rank_function(rng, n, rng.randint(1, 3))
+            for t in (0, 1, 2):
+                _agrees_with_both_oracles_at_every_limit(rho, t)
+
+
+def test_count_bases_on_three_coordinates_runs_no_contraction_level():
+    # rho(A) = min(|A|, 1) with a loop at coordinate 3: the bases of t*rho are
+    # the t + 1 ways to split t between coordinates 1 and 2
+    rho = RankFunction(3, (0, 1, 1, 1, 0, 1, 1, 1))
+    for t in range(5):
+        assert count_bases(rho, t, 10**9) == t + 1
+        _agrees_with_both_oracles_at_every_limit(rho, t)
+    # every entry 0: the zero vector is the one base at every degree
+    zero_table = RankFunction(3, (0,) * 8)
+    assert [count_bases(zero_table, t, 1) for t in range(4)] == [1, 1, 1, 1]
+    assert count_bases(zero_table, 2, 0) is None
+
+
+def test_count_bases_refuses_a_rank_function_at_the_first_level_past_the_limit(monkeypatch):
+    # the table is validated only when a level before the last is due more
+    # than the limit
+    verdicts = []
+    validate = polymatroid.validate_rank_function
+
+    def recorded(rho):
+        verdicts.append(bool(validate(rho)))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polymatroid, "validate_rank_function", recorded)
+    # coordinate 1 of a base of 3*rho ranges over 0..6 for rho(A) = 2 on [7]
+    assert count_bases(constant_rank(7, 2), 3, 5) is None
+    assert verdicts == [True]
+    # a table that is not a rank function has every level counted, as its
+    # prefix count may fall where a prefix has no completion
+    verdicts.clear()
+    rho = RankFunction(7, (0, 3) + (2,) * 126)
+    assert count_bases(rho, 3, 5) == oracles.count_bases_dfs(rho, 3, 5)
+    assert verdicts == [False] * 4
 
 
 def test_points_within_matches_oracle(instance_pool, positive_pool):
