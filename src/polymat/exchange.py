@@ -11,16 +11,18 @@ Each scan quantifies over the ordered pairs u, v and the i with u(i) >
 v(i) and j with u(j) < v(j): weak asks for some (i, j) with u - e_i + e_j
 in B, base for some such j at every i, strong for every (i, j), symmetric
 for some j at every i with v - e_j + e_i in B too.  The swaps of each base
-at each i are tested once per call, on the coordinates where bases differ.
+at each i are tested once per base set, on the coordinates where bases
+differ, and every scan and the two-sided witness read the same rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
 
-from .core import Vector, Verdict, exchange_step, modulus, sorted_vectors
-from .polymatroid import BaseSet, _exchange_failure, is_base_set
+from .core import Vector, Verdict, exchange_step, modulus, set_bits, sorted_vectors
+from .polymatroid import BaseSet, _deficits, _exchange_failure, is_base_set
 
 
 class ExchangeMode(Enum):
@@ -59,11 +61,10 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
         raise ValueError(f"index {i} outside ground set [{B.n}]")
     if u[i - 1] <= v[i - 1]:
         raise ValueError(f"need u({i}) > v({i}), got {u[i - 1]} <= {v[i - 1]}")
-    for j in range(1, B.n + 1):
-        if u[j - 1] < v[j - 1]:
-            if exchange_step(u, i, j) in B.vectors and exchange_step(v, j, i) in B.vectors:
-                return j
-    return None
+    ordered, row = B._swaps
+    a, b = bisect_left(ordered, u), bisect_left(ordered, v)
+    _, up = _deficits(u, v)
+    return next((j + 1 for j in set_bits(row(a, i - 1) & up) if row(b, j) >> i - 1 & 1), None)
 
 
 def verify_symmetric_exchange(B: BaseSet) -> Verdict:

@@ -11,6 +11,7 @@ are the maximal vectors; they share a common modulus, the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import prod
 from operator import le, sub
@@ -66,6 +67,12 @@ class BaseSet:
 
     def __contains__(self, u) -> bool:
         return u in self.vectors
+
+    @cached_property
+    def _swaps(self):
+        """(sorted bases, row) of :func:`_swap_rows`, built once per base
+        set and read by every exchange scan on it."""
+        return _swap_rows(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -236,17 +243,20 @@ def is_base_set(B: BaseSet) -> Verdict:
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
 #
 # Every exchange scan quantifies over the ordered pairs of bases and the
-# swaps below, and each base's swaps at each i are tested once per call.
+# swaps below; each base set keeps one table, so each base's swaps at each
+# i are tested once per base set.
 
 
-def _swap_rows(vs: frozenset, ordered: tuple):
-    """row(a, i): the bitmask of the 0-based j with ordered[a] - e_i + e_j
-    in vs, for ordered[a](i) > 0.
+def _swap_rows(vs: frozenset):
+    """(ordered, row) with ordered the sorted bases and row(a, i) the
+    bitmask of the 0-based j with ordered[a] - e_i + e_j in vs, for
+    ordered[a](i) > 0.
 
     All bases agree off the coordinates on which some two of them differ,
     so only those take part in a swap.  A row is built when first read,
     so a scan that stops early tests only the rows it reached.
     """
+    ordered = sorted_vectors(vs)
     vary = [k for k, col in enumerate(zip(*ordered)) if min(col) != max(col)]
     rows = [{} for _ in ordered]
 
@@ -265,7 +275,7 @@ def _swap_rows(vs: frozenset, ordered: tuple):
             rows[a][i] = mask
         return mask
 
-    return row
+    return ordered, row
 
 
 def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
@@ -296,8 +306,7 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     row(u, i) and up with i in row(v, j), witness (u, v, i).  Witness
     indices are 1-based.
     """
-    ordered = sorted_vectors(B.vectors)
-    row = _swap_rows(B.vectors, ordered)
+    ordered, row = B._swaps
     for a, u in enumerate(ordered):
         for b, v in enumerate(ordered):
             if a == b:
@@ -331,8 +340,7 @@ def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tupl
     at (j', i'), so pairs u < v reach every exchange.  With pairs, only
     the (u, v) = (sorted(B)[a], sorted(B)[b]) of its index pairs a < b.
     """
-    ordered = sorted_vectors(B.vectors)
-    row = _swap_rows(B.vectors, ordered)
+    ordered, row = B._swaps
     for a, b in combinations(range(len(ordered)), 2) if pairs is None else pairs:
         u, v = ordered[a], ordered[b]
         down, up = _deficits(u, v)

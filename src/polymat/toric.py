@@ -7,8 +7,15 @@ that the symmetric exchange relations generate the toric ideal up to
 that degree; a disconnected one is a candidate counterexample, never a
 theorem either way.  Multisets are ascending tuples of indices into the
 sorted bases, grouped by a packed sum that orders as the vector sums
-do; the exchanges go once into an undirected table by index pair, and
-each fiber is searched breadth first until every member is reached.
+do; the exchanges go once into an undirected table by index pair.
+
+Degree 2 is searched breadth first.  Above it a lemma does the work, for
+any move set: if every degree-(m - 1) fiber is connected, two degree-m
+members sharing a base e are connected (remove e, join the rests, put e
+back), and every move keeps m - 2 >= 1 bases, so a fiber's components
+are those of "shares a base".  Degrees 3, 4, ... are checked that way
+while the degree below stays connected; once one below the asked degree
+fails, that degree is searched breadth first, the only exact method.
 """
 
 from __future__ import annotations
@@ -153,6 +160,47 @@ def fiber_graph(B: BaseSet, fiber: Fiber) -> FiberGraph:
     return FiberGraph(fiber.members, tuple(edges))
 
 
+def _unreached(members: list, table: dict) -> tuple | None:
+    """The least member the exchanges of table cannot reach from the first,
+    by breadth-first search, or None when they reach every member."""
+    seen = {members[0]}
+    queue = [members[0]]
+    for mem in queue:  # breadth first: the queue grows while it is read
+        if len(seen) == len(members):
+            break
+        for other in _adjacent(mem, table):
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return min(set(members) - seen, default=None)
+
+
+def _unshared(members: list, table: dict) -> tuple | None:
+    """The least member sharing no chain of bases with the first, or None:
+    the least one unreached when the degree below is connected."""
+    reached, rest = set(members[0]), members
+    while rest:
+        left = []
+        for mem in rest:  # reached grows while rest is read
+            if reached.isdisjoint(mem):
+                left.append(mem)
+            else:
+                reached.update(mem)
+        if len(left) == len(rest):
+            return left[0]
+        rest = left
+    return None
+
+
+def _first_split(ordered: tuple, m: int, search, table: dict) -> tuple | None:
+    """(least member, least unreached one) of the first disconnected
+    degree-m fiber under search, or None when all are connected."""
+    for members in _fiber_groups(ordered, m):
+        if (other := search(members, table)) is not None:
+            return members[0], other
+    return None
+
+
 def white_check(
     B: BaseSet, m: int, *, max_base_size: int = 64, max_degree: int = 4
 ) -> Verdict:
@@ -162,27 +210,28 @@ def white_check(
     generation in degree m; a False verdict returns (total, member_a,
     member_b) for the least multiset of the first disconnected fiber and
     the least one it cannot reach, a candidate counterexample to
-    generation by symmetric exchanges.
+    generation by symmetric exchanges.  Degree 2 is searched breadth
+    first.  Above it, while the degree below is connected, members that
+    share a base are connected and every move keeps a base, so fibers
+    are split by shared bases; once a lower degree fails, degree m is
+    searched breadth first.
     """
     if m < 2:
         raise ValueError(f"connectivity is only meaningful for degree >= 2, got {m}")
+    _check_caps(B, m, max_base_size, max_degree)
     verdict = is_base_set(B)
     if not verdict:
         raise ValueError(f"not a valid base set: witness {verdict.witness}")
-    _check_caps(B, m, max_base_size, max_degree)
     ordered = sorted_vectors(B.vectors)
     table = _move_table(B, {v: k for k, v in enumerate(ordered)})
-    for members in _fiber_groups(ordered, m):
-        seen = {members[0]}
-        queue = [members[0]]
-        for mem in queue:  # breadth first: the queue grows while it is read
-            if len(seen) == len(members):
-                break
-            for other in _adjacent(mem, table):
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        if len(seen) < len(members):
-            a, b = _vectors(ordered, members[0]), _vectors(ordered, min(set(members) - seen))
-            return Verdict(False, (tuple(map(sum, zip(*a))), a, b))
-    return Verdict(True)
+    degree = 2
+    split = _first_split(ordered, degree, _unreached, table)
+    while split is None and degree < m:
+        degree += 1
+        split = _first_split(ordered, degree, _unshared, table)
+    if split is not None and degree < m:
+        split = _first_split(ordered, m, _unreached, table)
+    if split is None:
+        return Verdict(True)
+    a, b = (_vectors(ordered, mem) for mem in split)
+    return Verdict(False, (tuple(map(sum, zip(*a))), a, b))

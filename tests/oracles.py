@@ -247,6 +247,17 @@ def symmetric_swaps(vectors, u, v):
     return out
 
 
+def symmetric_exchange_witness(vectors, u, v, i):
+    """The least 1-based j with u(j) < v(j) such that u - e_i + e_j and
+    v - e_j + e_i both lie in the set, for a 1-based i with u(i) > v(i);
+    None when there is no such j."""
+    for j in range(1, len(u) + 1):
+        if u[j - 1] < v[j - 1]:
+            if swap(u, i - 1, j - 1) in vectors and swap(v, j - 1, i - 1) in vectors:
+                return j
+    return None
+
+
 def symmetric_relations(vectors):
     """Nontrivial exchange relations as sorted pairs of sorted pairs."""
     out = set()

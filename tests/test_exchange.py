@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from polymat import polymatroid
 from polymat import (
     ExchangeMode,
     base_set,
@@ -14,9 +15,11 @@ from polymat import (
     rewrite_balanced,
     sign_sequence,
     sort_pair,
+    symmetric_exchange_relations,
     symmetric_exchange_witness,
     verify_symmetric_exchange,
     veronese,
+    white_check,
 )
 
 
@@ -127,21 +130,52 @@ def test_witnesses_match_oracles(scan_pool):
 
 
 def test_symmetric_witness_matches_oracle(scan_pool):
+    refused = 0
     for B in scan_pool:
-        if len(B) > 12:
-            continue
         for u in sorted(B.vectors):
             for v in sorted(B.vectors):
-                for i in range(B.n):
-                    if u[i] > v[i]:
-                        js = [
-                            j + 1
-                            for j in range(B.n)
-                            if u[j] < v[j]
-                            and oracles.swap(u, i, j) in B.vectors
-                            and oracles.swap(v, j, i) in B.vectors
-                        ]
-                        assert symmetric_exchange_witness(B, u, v, i + 1) == min(js, default=None)
+                for i in range(1, B.n + 1):
+                    if u[i - 1] > v[i - 1]:
+                        want = oracles.symmetric_exchange_witness(B.vectors, u, v, i)
+                        assert symmetric_exchange_witness(B, u, v, i) == want
+                        refused += want is None
+    # the pool's sets that are not base sets give refusals as well
+    assert refused > 0
+
+
+def test_one_item_builds_each_swap_row_once(monkeypatch):
+    """The calls of one exchange item share the base set's swap table: it
+    is built once, and membership is probed only when a row is first read."""
+    build = polymatroid._swap_rows
+    tables, reads, probes = [], set(), []
+
+    class Probed(frozenset):
+        def __contains__(self, w):
+            probes.append(w)
+            return frozenset.__contains__(self, w)
+
+    def spy(vs):
+        ordered, row = build(Probed(vs))
+        tables.append(ordered)
+
+        def read(a, i):
+            reads.add((a, i))
+            return row(a, i)
+
+        return ordered, read
+
+    monkeypatch.setattr(polymatroid, "_swap_rows", spy)
+    B = veronese((2, 2, 2, 2), 3)
+    seq = sorted(B.vectors)[::7]
+    for mode in ExchangeMode:
+        exchange_property(B, mode)
+    is_sortable(B)
+    symmetric_exchange_relations(B)
+    white_check(B, 2)
+    white_check(B, 3)
+    rewrite_balanced(seq, B)
+    assert len(tables) == 1 and reads
+    assert len(probes) == (B.n - 1) * len(reads)  # every coordinate varies
 
 
 # --- symmetric exchange -------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from polymat import (
     ExchangeMode,
     Fiber,
     SizeCapExceeded,
+    Verdict,
     base_set,
     exchange_property,
     fiber_graph,
@@ -74,38 +76,99 @@ def test_fibers_match_brute_force(scan_pool):
             assert all(f.degree == m for f in fibers(B, m, max_base_size=256))
 
 
-def test_white_check_matches_oracle(scan_pool):
-    checked = 0
-    for B in scan_pool:
-        if is_base_set(B):
-            for m in (2, 3):
-                got = white_check(B, m, max_base_size=256)
-                assert (None if got else got.witness) == oracles.white_check(B.vectors, m)
-                checked += 1
-    assert checked > 100
+def _spy_searches(monkeypatch) -> list:
+    """Log (search, degree) for every fiber white_check searches by shared
+    bases (_unshared) or breadth first (_unreached)."""
+    log = []
+    for name in ("_unshared", "_unreached"):
+        def spy(members, table, name=name, search=getattr(toric, name)):
+            log.append((name, len(members[0])))
+            return search(members, table)
+
+        monkeypatch.setattr(toric, name, spy)
+    return log
+
+
+def _compare_with_oracle(sets, log, moves_of=lambda B: None) -> tuple[int, Counter]:
+    """white_check against the oracle's union-find on the moves_of(B), at
+    degrees 2, 3 and, up to 12 bases, 4.  Returns the number of failures
+    and, per search, how many verdicts of degree >= 3 it decided, and as
+    (search, "split") how many of them were failures."""
+    failures = 0
+    decided = Counter()
+    for B in sets:
+        moves = moves_of(B)
+        for m in (2, 3, 4) if len(B) <= 12 else (2, 3):
+            log.clear()
+            got = white_check(B, m, max_base_size=256)
+            want = oracles.white_check(B.vectors, m, moves)
+            assert (None if got else got.witness) == want
+            failures += want is not None
+            if m >= 3:
+                (search,) = {name for name, degree in log if degree == m}
+                decided[search] += 1
+                decided[search, "split"] += want is not None
+    return failures, decided
+
+
+def test_white_check_matches_oracle(scan_pool, monkeypatch):
+    """Under every exchange, degree 2 stays connected on the pool's base
+    sets, so each degree above it is decided by shared bases."""
+    log = _spy_searches(monkeypatch)
+    _, decided = _compare_with_oracle([B for B in scan_pool if is_base_set(B)], log)
+    assert decided["_unshared"] > 100 and decided["_unreached"] == 0
+
+
+def test_white_check_lemma_holds_off_base_sets(scan_pool, monkeypatch):
+    """The shared-base lemma needs no exchange axiom, so with the base-set
+    proof waived the pool's other vector sets reach both searches under
+    every exchange, and shared bases find disconnected fibers too."""
+    monkeypatch.setattr(toric, "is_base_set", lambda B: Verdict(True))
+    log = _spy_searches(monkeypatch)
+    others = [B for B in scan_pool if not is_base_set(B)]
+    _, decided = _compare_with_oracle(others, log)
+    assert decided["_unshared", "split"] > 0 and decided["_unreached", "split"] > 0
+
+
+def test_shared_base_search_names_the_least_unreached_member():
+    # (3, 4, 5) is reached only through (2, 3, 6), which comes after it
+    assert toric._unshared([(0, 1, 2), (3, 4, 5), (2, 3, 6)], {}) is None
+    members = [(0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9), (6, 10, 11)]
+    assert toric._unshared(members, {}) == (5, 6, 7)
 
 
 def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
     """Dropping a seeded share of the exchanges forces disconnected fibers;
     the search and the oracle's union-find, given the same moves, must
-    agree on the verdict and on the witness."""
+    agree on the verdict and on the witness, both when the degree below
+    is connected (shared bases) and when it is not (breadth first)."""
     every_move = polymatroid._symmetric_moves
+    log = _spy_searches(monkeypatch)
     failures = 0
+    decided = Counter()
+    base_sets = [B for B in scan_pool if is_base_set(B)]
     for rate in (0.6, 0.3):
         def kept(B, pairs=None):
             moves = every_move(B, pairs)
             return [mv for mv in moves if Random(repr((rate, mv[:2]))).random() < rate]
 
         monkeypatch.setattr(toric, "_symmetric_moves", kept)
-        for B in scan_pool:
-            if is_base_set(B):
-                moves = [mv[:2] for mv in kept(B)]
-                for m in (2, 3):
-                    got = white_check(B, m, max_base_size=256)
-                    want = oracles.white_check(B.vectors, m, moves)
-                    assert (None if got else got.witness) == want
-                    failures += want is not None
+        found, by_search = _compare_with_oracle(base_sets, log, lambda B: [mv[:2] for mv in kept(B)])
+        failures += found
+        decided += by_search
     assert failures > 100
+    assert decided["_unshared"] > 0 and decided["_unreached", "split"] > 0
+
+
+def test_white_check_refuses_a_large_base_set_before_proving_it(monkeypatch):
+    B = veronese((1,) * 22, 3)  # 1,540 bases, past the rank-table gate
+
+    def refuse(B):
+        raise AssertionError("is_base_set ran before the caps")
+
+    monkeypatch.setattr(toric, "is_base_set", refuse)
+    with pytest.raises(SizeCapExceeded, match="cap is 64"):
+        white_check(B, 2)
 
 
 def test_fiber_graph_refuses_a_partial_fiber(four_bases):
