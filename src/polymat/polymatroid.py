@@ -5,7 +5,9 @@ greedy vertices).
 A discrete polymatroid is a finite downward-closed set P of nonnegative
 integer vectors such that any u, v in P with |v| > |u| admit an
 augmentation step u + e_i in P staying below the join u v v.  Its bases
-are the maximal vectors; they share a common modulus, the rank.
+are the maximal vectors; they share a common modulus, the rank.  A point
+set from outside is checked once, by :func:`discrete_polymatroid`; the
+operations package what a theorem of the paper proves, without a scan.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class RankFunction:
 class DiscretePolymatroid:
     """Validated discrete polymatroid with cached rank and bases.
 
-    Build through :func:`discrete_polymatroid`; the factory checks
-    downward closure and the exchange axiom and rejects anything else.
+    Build a point set from outside through :func:`discrete_polymatroid`,
+    which checks downward closure and the exchange axiom once; the
+    operations below package results that a theorem proves.
     """
 
     n: int
@@ -211,14 +214,18 @@ def is_discrete_polymatroid(S: VectorSet) -> Verdict:
 
 
 def discrete_polymatroid(S: VectorSet | Iterable) -> DiscretePolymatroid:
-    """Validate a point set and package it with its rank and bases."""
+    """Validate a point set from outside and package it with its rank and bases."""
     vs = S if isinstance(S, VectorSet) else vector_set(S)
     verdict = is_discrete_polymatroid(vs)
     if not verdict:
         raise ValueError(f"not a discrete polymatroid: {verdict.witness}")
-    rank = max(modulus(u) for u in vs.vectors)
-    maximal = frozenset(u for u in vs.vectors if modulus(u) == rank)
-    return DiscretePolymatroid(vs.n, vs.vectors, rank, maximal)
+    return _package(vs.n, vs.vectors)
+
+
+def _package(n: int, points: frozenset) -> DiscretePolymatroid:
+    """A point set proved a discrete polymatroid, with its rank and bases."""
+    rank = max(map(modulus, points))
+    return DiscretePolymatroid(n, points, rank, frozenset(u for u in points if modulus(u) == rank))
 
 
 def bases(P: DiscretePolymatroid) -> BaseSet:
@@ -523,12 +530,12 @@ def _points_within(values: tuple, n: int) -> frozenset:
 
 
 def polymatroid_from_rank(rho: RankFunction) -> DiscretePolymatroid:
-    """All integer vectors obeying every rank inequality of rho."""
+    """All integer vectors obeying every rank inequality of rho, a discrete
+    polymatroid of rank rho([n]) by Edmonds' theorem."""
     verdict = validate_rank_function(rho)
     if not verdict:
         raise ValueError(f"invalid rank function: {verdict.witness}")
-    pts = _points_within(rho.values, rho.n)
-    return discrete_polymatroid(VectorSet(rho.n, pts))
+    return _package(rho.n, _points_within(rho.values, rho.n))
 
 
 def hull_consistency(P: DiscretePolymatroid | VectorSet) -> bool:
@@ -549,14 +556,17 @@ def hull_consistency(P: DiscretePolymatroid | VectorSet) -> bool:
 
 
 def truncate(P: DiscretePolymatroid, d: int) -> DiscretePolymatroid:
-    """Restrict to the vectors of modulus at most d."""
+    """The vectors of modulus at most d; the paper proves this truncation a polymatroid."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"truncation rank must be an integer, got {d!r}")
     if not 0 <= d <= P.rank:
         raise ValueError(f"truncation rank {d} outside [0, {P.rank}]")
-    return discrete_polymatroid(VectorSet(P.n, frozenset(u for u in P.points if modulus(u) <= d)))
+    return _package(P.n, frozenset(u for u in P.points if modulus(u) <= d))
 
 
 def contract(P: DiscretePolymatroid, x: Vector) -> DiscretePolymatroid:
-    """Shift P by a member x: all v - x with v >= x."""
+    """Shift P by a member x: all v - x with v >= x, a discrete
+    polymatroid again, as the paper proves for shifts by a member."""
     x = as_vector(x)
     if x not in P.points:
         raise ValueError(f"{x} is not a point of the polymatroid")
@@ -565,7 +575,7 @@ def contract(P: DiscretePolymatroid, x: Vector) -> DiscretePolymatroid:
         for v in P.points
         if all(a >= b for a, b in zip(v, x))
     )
-    return discrete_polymatroid(VectorSet(P.n, pts))
+    return _package(P.n, pts)
 
 
 def lift(P: DiscretePolymatroid) -> BaseSet:
@@ -580,18 +590,23 @@ def lift(P: DiscretePolymatroid) -> BaseSet:
 
 
 def polymatroid_sum(*polymatroids: DiscretePolymatroid) -> DiscretePolymatroid:
-    """Pointwise sum of polymatroids; rank functions add up."""
+    """Pointwise sum of polymatroids, a discrete polymatroid whose rank
+    function is the sum of theirs (as the paper proves).  A partial
+    sum is refused while it is built, at most |P| points past the cap."""
     if not polymatroids:
         raise ValueError("polymatroid sum needs at least one summand")
     ns = {P.n for P in polymatroids}
     if len(ns) > 1:
         raise ValueError(f"dimension mismatch across summands: {sorted(ns)}")
-    acc = {zero(ns.pop())}
+    cap, acc = max_points(), {zero(ns.pop())}
     for P in polymatroids:
-        nxt = {tuple(a + b for a, b in zip(s, p)) for s in acc for p in P.points}
-        check_cap(len(nxt), "polymatroid sum")
+        nxt: set = set()
+        for s in acc:
+            nxt.update(tuple(a + b for a, b in zip(s, p)) for p in P.points)
+            if len(nxt) > cap:
+                raise SizeCapExceeded(f"polymatroid sum needs more than {cap} points, cap is {cap}")
         acc = nxt
-    return discrete_polymatroid(VectorSet(polymatroids[0].n, frozenset(acc)))
+    return _package(polymatroids[0].n, frozenset(acc))
 
 
 def greedy_vertex(rho: RankFunction, k: int, pi: tuple[int, ...]) -> Vector:

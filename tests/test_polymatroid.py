@@ -1,4 +1,6 @@
 import re
+from dataclasses import replace
+from operator import add
 from random import Random
 
 import pytest
@@ -252,6 +254,12 @@ def test_truncate():
         truncate(P, 5)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, True, "2", None])
+def test_truncate_refuses_a_rank_that_is_not_an_integer(d):
+    with pytest.raises(ValueError, match="truncation rank must be an integer"):
+        truncate(cube(3, 4), d)
+
+
 def test_contract():
     P = cube(3, 3)
     assert contract(P, (0, 0, 0)).points == P.points
@@ -283,6 +291,38 @@ def test_polymatroid_sum():
         polymatroid_sum(P, cube(3, 1))
 
 
+def test_polymatroid_sum_cap_boundary(monkeypatch):
+    seg = discrete_polymatroid(vector_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    size = len(cube(3, 3))
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(size))
+    assert polymatroid_sum(seg, seg, seg).points == cube(3, 3).points
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(size - 1))
+    message = f"polymatroid sum needs more than {size - 1} points, cap is {size - 1}"
+    with pytest.raises(SizeCapExceeded, match=message):
+        polymatroid_sum(seg, seg, seg)
+
+
+class _Counted(frozenset):
+    """A point set that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_polymatroid_sum_is_refused_while_it_is_built(monkeypatch):
+    # cube(3, 4) has 35 points and its double 165; a cap of 40 is passed by
+    # the second of the 35 shifted copies that build the double, where
+    # building the whole double first would take 1 + 35 passes
+    P = replace(cube(3, 4), points=_Counted(cube(3, 4).points))
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "40")
+    with pytest.raises(SizeCapExceeded, match="polymatroid sum needs more than 40 points"):
+        polymatroid_sum(P, P)
+    assert P.points.passes <= 3
+
+
 def test_polymatroid_sum_rank_functions_add():
     seg = discrete_polymatroid(vector_set([(0, 0), (1, 0), (0, 1)]))
     col = discrete_polymatroid(vector_set([(0, 0), (1, 0)]))
@@ -293,7 +333,7 @@ def test_polymatroid_sum_rank_functions_add():
     assert lhs == tuple(a + b for a, b in zip(rho_a, rho_b))
 
 
-def test_greedy_vertstable_fivexamples():
+def test_greedy_vertex_examples():
     rho = RankFunction(2, (0, 2, 2, 3))
     assert greedy_vertex(rho, 2, (1, 2)) == (2, 1)
     assert greedy_vertex(rho, 0, (1, 2)) == (0, 0)
@@ -337,6 +377,54 @@ def test_pool_invariants(instance_pool, seed):
         v = greedy_vertex(exact, P.n, pi)
         assert sum(v) == exact.values[(1 << P.n) - 1]
         assert v in P.points
+
+
+def _assert_scan_packages(R):
+    # discrete_polymatroid raises unless the scan accepts the points, and
+    # vector_set refuses a negative entry, which the scan does not check
+    assert discrete_polymatroid(vector_set(R.points, R.n)) == R
+    # in a downward-closed set the bases are the points with no unit step up
+    ups = [tuple(int(i == k) for i in range(R.n)) for k in range(R.n)]
+    top = {u for u in R.points if not any(tuple(map(add, u, e)) in R.points for e in ups)}
+    assert R.bases == top and {sum(u) for u in top} == {R.rank}
+
+
+def test_operations_package_what_the_scan_accepts(instance_pool):
+    # each operation packages its result by theorem, without a scan
+    for rho, P in instance_pool:
+        R = polymatroid_from_rank(rho)
+        assert R.rank == rho.values[-1]
+        _assert_scan_packages(R)
+        for d in range(P.rank + 1):
+            _assert_scan_packages(truncate(P, d))
+        for x in sorted(P.bases)[:3] + [(0,) * P.n]:
+            _assert_scan_packages(contract(P, x))
+    # each member with the next on the same n: scanning all 4,120 such pairs
+    # takes over two minutes
+    previous = {}
+    sums = 0
+    for _, P in instance_pool:
+        Q = previous.get(P.n)
+        if Q is not None and len(P) * len(Q) <= 30_000:
+            _assert_scan_packages(polymatroid_sum(Q, P))
+            sums += 1
+        previous[P.n] = P
+    assert sums > 150
+
+
+def test_operations_run_no_scan(instance_pool, monkeypatch):
+    rho, P = next((rho, P) for rho, P in instance_pool if P.rank >= 2 and P.n >= 2)
+    monkeypatch.setattr(polymatroid, "is_discrete_polymatroid", _fail)
+    assert polymatroid_from_rank(rho) == P
+    assert truncate(P, 1).rank == 1
+    assert contract(P, min(P.bases)).points == {(0,) * P.n}
+    assert polymatroid_sum(P, P).rank == 2 * P.rank
+    not_closed = vector_set([(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(AssertionError, match="enumeration started"):
+        discrete_polymatroid(not_closed)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="not a discrete polymatroid"):
+        discrete_polymatroid(not_closed)
 
 
 def test_rank_function_from_values_validation():
