@@ -25,7 +25,6 @@ from .core import (
     Verdict,
     as_vector,
     check_cap,
-    exchange_step,
     max_points,
     modulus,
     set_bits,
@@ -75,6 +74,16 @@ class BaseSet:
         """(sorted bases, row) of :func:`_swap_rows`, built once per base
         set and read by every exchange scan on it."""
         return _swap_rows(self.vectors)
+
+    @cached_property
+    def _base_verdict(self) -> Verdict:
+        """:func:`is_base_set`'s verdict, decided once per base set."""
+        return Verdict(True) if base_set_rank(self) is not None else _exchange_failure(self, "base")
+
+    @cached_property
+    def _moves(self) -> dict:
+        """:mod:`polymat.toric`'s symmetric-move tables, by move generator."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -186,15 +195,18 @@ def maximal_vectors(S: VectorSet) -> tuple[Vector, ...]:
 def is_discrete_polymatroid(S: VectorSet) -> Verdict:
     """Decide the two axioms, returning the first violation found.
 
-    Witnesses: ("subvector", u, v) with v an immediate subvector of u
-    missing from S, or ("exchange", u, v) for a pair admitting no
-    augmentation step; u and then v lexicographically smallest.  In a
-    downward-closed S, if u fails against v then also against each v'
-    with u ^ v <= v' <= v and |v'| = |u| + 1, which is lexicographically
-    smaller than v unless equal to it, so that layer alone is scanned.
+    Witnesses: ("negative", u) for a vector with a negative entry,
+    ("subvector", u, v) with v an immediate subvector of u missing from
+    S, or ("exchange", u, v) for a pair admitting no augmentation step;
+    u and then v lexicographically smallest.  In a downward-closed S, if
+    u fails against v then also against each v' with u ^ v <= v' <= v
+    and |v'| = |u| + 1, which is lexicographically smaller than v unless
+    equal to it, so that layer alone is scanned.
     """
     vs = S.vectors
     ordered = sorted_vectors(vs)
+    if negative := [u for u in ordered if min(u, default=0) < 0]:
+        return Verdict(False, ("negative", negative[0]))
     for u in ordered:
         for i in range(S.n):
             if u[i] > 0:
@@ -240,11 +252,9 @@ def is_base_set(B: BaseSet) -> Verdict:
     one-sided exchange scan (every deficit coordinate admits a repair
     swap) decides the rest and finds the witness of a refusal.
     Witness: (u, v, i) with u(i) > v(i) but no j with u(j) < v(j) and
-    u - e_i + e_j in B.
+    u - e_i + e_j in B.  Both give one verdict, which B keeps.
     """
-    if base_set_rank(B) is not None:
-        return Verdict(True)
-    return _exchange_failure(B, "base")
+    return B._base_verdict
 
 
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
@@ -346,6 +356,8 @@ def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tupl
     of u, v, i and j.  The exchange on v at i' with u at j' is this one
     at (j', i'), so pairs u < v reach every exchange.  With pairs, only
     the (u, v) = (sorted(B)[a], sorted(B)[b]) of its index pairs a < b.
+    u' and v' are built without :func:`core.exchange_step`, whose checks
+    i in down and j in up always pass.
     """
     ordered, row = B._swaps
     for a, b in combinations(range(len(ordered)), 2) if pairs is None else pairs:
@@ -354,9 +366,9 @@ def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tupl
         for i in down:
             for j in set_bits(row(a, i) & up):
                 if row(b, j) >> i & 1:
-                    x = exchange_step(u, i + 1, j + 1)
-                    y = exchange_step(v, j + 1, i + 1)
-                    pair = (x, y) if x < y else (y, x)
+                    x, y = list(u), list(v)
+                    x[i], x[j], y[i], y[j] = u[i] - 1, u[j] + 1, v[i] + 1, v[j] - 1
+                    pair = (tuple(x), tuple(y)) if x < y else (tuple(y), tuple(x))
                     if pair != (u, v):
                         yield (u, v), pair, i + 1, j + 1
 

@@ -7,7 +7,8 @@ that the symmetric exchange relations generate the toric ideal up to
 that degree; a disconnected one is a candidate counterexample, never a
 theorem either way.  Multisets are ascending tuples of indices into the
 sorted bases, grouped by a packed sum that orders as the vector sums
-do; the exchanges go once into an undirected table by index pair.
+do; the exchanges go once per base set into an undirected table by
+index pair, kept on it with the move list and the degrees searched.
 
 Degree 2 is searched breadth first.  Above it a lemma does the work, for
 any move set: if every degree-(m - 1) fiber is connected, two degree-m
@@ -70,11 +71,8 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
     pair and up to flipping the two sides; relations whose sides agree
     as multisets are dropped.
     """
-    verdict = is_base_set(B)
-    if not verdict:
-        raise ValueError(f"not a valid base set: witness {verdict.witness}")
     out: dict = {}
-    for left, right, i, j in _symmetric_moves(B):
+    for left, right, i, j in _move_entry(B)[0]:
         out.setdefault(tuple(sorted((left, right))), (left, right, i, j))
     return tuple(ExchangeRelation(*out[k]) for k in sorted(out))
 
@@ -117,12 +115,11 @@ def fibers(B: BaseSet, m: int, *, max_base_size: int = 64, max_degree: int = 4) 
     return [Fiber(m, tuple(map(sum, zip(*group[0]))), group) for group in groups]
 
 
-def _move_table(B: BaseSet, index: dict, pairs=None) -> dict:
-    """Symmetric exchanges between pairs of indices into sorted(B), given by
-    index, both ways: table[(a, b)] holds each (c, d) one exchange from
-    (a, b), every pair ascending.  With pairs, only those of its a < b."""
+def _move_table(moves, index: dict) -> dict:
+    """Moves as index pairs into sorted(B), both ways: table[(a, b)] holds
+    each (c, d) one exchange from (a, b), every pair ascending."""
     table: dict[tuple[int, int], set] = {}
-    for (u, v), (x, y), _, _ in _symmetric_moves(B, pairs):
+    for (u, v), (x, y), _, _ in moves:
         left, right = (index[u], index[v]), (index[x], index[y])
         table.setdefault(left, set()).add(right)
         table.setdefault(right, set()).add(left)
@@ -148,7 +145,7 @@ def fiber_graph(B: BaseSet, fiber: Fiber) -> FiberGraph:
         raise ValueError("fiber member holds a vector outside the base set")
     members = {tuple(index[v] for v in mem) for mem in fiber.members}
     pairs = {(a, b) for mem in members for a, b in combinations(mem, 2) if a != b}
-    table = _move_table(B, index, pairs)
+    table = _move_table(_symmetric_moves(B, pairs), index)
     links = set()
     for mem in members:
         for other in _adjacent(mem, table):
@@ -192,6 +189,20 @@ def _unshared(members: list, table: dict) -> tuple | None:
     return None
 
 
+def _move_entry(B: BaseSet) -> tuple:
+    """(moves, sorted bases, index table, :func:`_first_split` by (degree,
+    search)) of a proved base set B, kept on B once per move generator."""
+    verdict = is_base_set(B)
+    if not verdict:
+        raise ValueError(f"not a valid base set: witness {verdict.witness}")
+    entry = B._moves.get(_symmetric_moves)
+    if entry is None:
+        moves, ordered = list(_symmetric_moves(B)), B._swaps[0]
+        table = _move_table(moves, {v: k for k, v in enumerate(ordered)})
+        entry = B._moves[_symmetric_moves] = (moves, ordered, table, {})
+    return entry
+
+
 def _first_split(ordered: tuple, m: int, search, table: dict) -> tuple | None:
     """(least member, least unreached one) of the first disconnected
     degree-m fiber under search, or None when all are connected."""
@@ -206,31 +217,33 @@ def white_check(
 ) -> Verdict:
     """Are all degree-m fibers connected under symmetric exchanges?
 
-    A True verdict is a verified instance of quadratic-or-higher
-    generation in degree m; a False verdict returns (total, member_a,
-    member_b) for the least multiset of the first disconnected fiber and
-    the least one it cannot reach, a candidate counterexample to
-    generation by symmetric exchanges.  Degree 2 is searched breadth
-    first.  Above it, while the degree below is connected, members that
-    share a base are connected and every move keeps a base, so fibers
-    are split by shared bases; once a lower degree fails, degree m is
-    searched breadth first.
+    A True verdict is a verified instance of quadratic-or-higher generation in
+    degree m; a False verdict returns (total, member_a, member_b) for the
+    least multiset of the first disconnected fiber and the least one it cannot
+    reach, a candidate counterexample to generation by symmetric exchanges.
+    Degree 2 is searched breadth first.  Above it, while the degree below is
+    connected, members that share a base are connected and every move keeps a
+    base, so fibers are split by shared bases; once a lower degree fails,
+    degree m is searched breadth first.  The moves, their index table and the
+    lower-degree verdicts are built once per base set.
     """
     if m < 2:
         raise ValueError(f"connectivity is only meaningful for degree >= 2, got {m}")
     _check_caps(B, m, max_base_size, max_degree)
-    verdict = is_base_set(B)
-    if not verdict:
-        raise ValueError(f"not a valid base set: witness {verdict.witness}")
-    ordered = sorted_vectors(B.vectors)
-    table = _move_table(B, {v: k for k, v in enumerate(ordered)})
+    _, ordered, table, splits = _move_entry(B)
+
+    def split_at(d: int, search) -> tuple | None:
+        if (d, search) not in splits:
+            splits[d, search] = _first_split(ordered, d, search, table)
+        return splits[d, search]
+
     degree = 2
-    split = _first_split(ordered, degree, _unreached, table)
+    split = split_at(degree, _unreached)
     while split is None and degree < m:
         degree += 1
-        split = _first_split(ordered, degree, _unshared, table)
+        split = split_at(degree, _unshared)
     if split is not None and degree < m:
-        split = _first_split(ordered, m, _unreached, table)
+        split = split_at(m, _unreached)
     if split is None:
         return Verdict(True)
     a, b = (_vectors(ordered, mem) for mem in split)

@@ -1,10 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from polymat import polymatroid
+from polymat import polymatroid, toric
 from polymat import (
     ExchangeMode,
     base_set,
@@ -176,6 +177,37 @@ def test_one_item_builds_each_swap_row_once(monkeypatch):
     rewrite_balanced(seq, B)
     assert len(tables) == 1 and reads
     assert len(probes) == (B.n - 1) * len(reads)  # every coordinate varies
+
+
+def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
+    """The calls of one exchange item share the base set's symmetric moves,
+    its base-set proof and the fiber searches: white_check(B, 3) reads the
+    degree-2 verdict that white_check(B, 2) found."""
+    calls, splits = Counter(), []
+
+    def spy(module, name, log):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            log(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(toric, "_symmetric_moves", lambda args: calls.update(["moves"]))
+    spy(polymatroid, "base_set_rank", lambda args: calls.update(["proof"]))
+    spy(toric, "_first_split", lambda args: splits.append((args[1], args[2].__name__)))
+    B = veronese((2, 2, 2, 2), 3)
+    seq = sorted(B.vectors)[::7]
+    for mode in ExchangeMode:
+        exchange_property(B, mode)
+    is_sortable(B)
+    symmetric_exchange_relations(B)
+    white_check(B, 2)
+    white_check(B, 3)
+    rewrite_balanced(seq, B)
+    assert calls == {"moves": 1, "proof": 1}
+    assert splits == [(2, "_unreached"), (3, "_unshared")]
 
 
 # --- symmetric exchange -------------------------------------------------------

@@ -85,6 +85,18 @@ def test_is_discrete_polymatroid_catches_missing_subvector():
     assert verdict.witness[0] == "subvector"
 
 
+def test_is_discrete_polymatroid_refuses_negative_entries():
+    S = VectorSet(2, frozenset({(-1, 0), (0, 0)}))
+    assert is_discrete_polymatroid(S).witness == ("negative", (-1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        discrete_polymatroid(S)
+    # (0, 1) lacks its subvector (0, 0), but the negative entry is named first
+    S = VectorSet(2, frozenset({(0, 1), (1, -1), (2, -3)}))
+    assert is_discrete_polymatroid(S).witness == ("negative", (1, -1))
+    with pytest.raises(ValueError, match="negative"):
+        vector_set([(0, 0), (-1, 0)])
+
+
 def test_is_discrete_polymatroid_deterministic(stable_five):
     closure = downward_closure(VectorSet(3, stable_five.vectors))
     assert is_discrete_polymatroid(closure).witness == is_discrete_polymatroid(closure).witness
@@ -156,9 +168,11 @@ def test_base_set_proof_matches_exchange_scan(instance_pool, monkeypatch):
     for B, holds in zip(candidates, expected):
         assert (base_set_rank(B) is not None) == holds
         assert bool(is_base_set(B)) == holds
-    # with no rank table affordable the exchange scan decides alone
+    # with no rank table affordable the exchange scan decides alone; each
+    # base set keeps its verdict, so fresh copies are asked
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "1")
     for B, holds in zip(candidates, expected):
+        B = replace(B)
         assert base_set_rank(B) is None
         verdict = is_base_set(B)
         assert bool(verdict) == holds

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from polymat import polymatroid, toric
 from polymat import (
+    BaseSet,
     ExchangeMode,
     Fiber,
     SizeCapExceeded,
@@ -158,6 +159,33 @@ def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
         decided += by_search
     assert failures > 100
     assert decided["_unshared"] > 0 and decided["_unreached", "split"] > 0
+
+
+def test_white_check_answers_alike_in_any_order(scan_pool, monkeypatch):
+    """A base set keeps its moves and fiber splits.  Whatever was asked of
+    it before, in whatever order and under whatever move generator, each
+    verdict equals one call on a fresh copy and the oracle's."""
+    orders = ((2, 3, 4), (4, 3, 2), ("relations", 2, 3, 4))
+    checked = unmoved = 0
+    for B in scan_pool:
+        if len(B) > 12 or not is_base_set(B):
+            continue
+        fresh = {m: white_check(BaseSet(B.n, B.vectors, B.modulus), m) for m in (2, 3, 4)}
+        for m, got in fresh.items():
+            assert (None if got else got.witness) == oracles.white_check(B.vectors, m)
+        thinned = BaseSet(B.n, B.vectors, B.modulus)
+        with monkeypatch.context() as patch:  # no moves at all, then every move
+            patch.setattr(toric, "_symmetric_moves", lambda B, pairs=None: iter(()))
+            unmoved += not white_check(thinned, 4)
+        copies = [BaseSet(B.n, B.vectors, B.modulus) for _ in orders]
+        for C, order in zip(copies + [B, thinned], orders + ((2, 3, 4), (2, 3, 4))):
+            for m in order:
+                if m == "relations":
+                    symmetric_exchange_relations(C)
+                else:
+                    assert white_check(C, m) == fresh[m]
+                    checked += 1
+    assert checked > 0 and unmoved > 0
 
 
 def test_white_check_refuses_a_large_base_set_before_proving_it(monkeypatch):
