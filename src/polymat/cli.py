@@ -128,11 +128,7 @@ def parse_document(text: str | bytes) -> Document:
             values = _require(payload, "values", kind)
             if not isinstance(values, list):
                 raise SchemaError("field 'values' must be a list")
-            rho = rank_function_from_values(values, n)
-            verdict = validate_rank_function(rho)
-            if not verdict:
-                raise SchemaError(f"field 'values' is not a valid rank function: {verdict.witness}")
-            return Document(kind, rho)
+            return Document(kind, rank_function_from_values(values, n))
         if kind == "transversal":
             n = _int_field(payload, "n", kind)
             family = _list_of_lists(payload, "family", kind)
@@ -191,7 +187,7 @@ def _polymatroid(doc: Document) -> DiscretePolymatroid:
     if doc.kind == "base-set":
         return discrete_polymatroid(downward_closure(VectorSet(doc.value.n, doc.value.vectors)))
     if doc.kind == "rank-function":
-        return polymatroid_from_rank(doc.value)
+        return polymatroid_from_rank(_rank_function(doc))
     raise SchemaError(
         f"expected a vector-set, base-set or rank-function document, got {doc.kind!r}"
     )
@@ -214,7 +210,13 @@ def _base_set(doc: Document) -> BaseSet:
 
 
 def _rank_function(doc: Document) -> RankFunction:
-    return doc.value if doc.kind == "rank-function" else rank_function(_base_set(doc))
+    """A rank-function document that passes the axioms, else the rank of the bases."""
+    if doc.kind != "rank-function":
+        return rank_function(_base_set(doc))
+    verdict = validate_rank_function(doc.value)
+    if not verdict:
+        raise SchemaError(f"field 'values' is not a valid rank function: {verdict.witness}")
+    return doc.value
 
 
 def _generators(which: str, doc: Document):

@@ -28,7 +28,6 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
-    base_set,
     polymatroid_from_rank,
     rank_function,
 )
@@ -42,7 +41,7 @@ def veronese(caps: Iterable[int], d: int) -> BaseSet:
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
     check_cap(box_count([0] * len(s), s, d), "Veronese enumeration")
-    return base_set(box_points([0] * len(s), s, d))
+    return BaseSet(len(s), frozenset(box_points([0] * len(s), s, d)), d)
 
 
 def is_strongly_stable(S: VectorSet) -> Verdict:
@@ -118,7 +117,8 @@ def sublattice_polymatroid(L: Sublattice, mu: Mapping[int, int]) -> DiscretePoly
 
     mu must be nondecreasing and submodular on the sublattice with
     mu(empty) = 0; the full rank function is recovered as the minimum
-    of mu over enclosing members.
+    of mu over enclosing members, a table of |L| * 2^n steps refused
+    before it is built when it passes the size cap.
     """
     if set(mu) != set(L.members):
         raise ValueError("mu must be defined exactly on the sublattice members")
@@ -137,6 +137,7 @@ def sublattice_polymatroid(L: Sublattice, mu: Mapping[int, int]) -> DiscretePoly
                     f"mu is not submodular at {subset_elements(a)}, {subset_elements(b)}"
                 )
     members = sorted(L.members)
+    check_cap(len(members) << L.n, "sublattice rank table")
     values = []
     for mask in subsets(L.n):
         values.append(min(mu[a] for a in members if a & mask == mask))
@@ -169,12 +170,12 @@ def transversal_presentation(n: int, family: Iterable[Iterable[int]]) -> Transve
 
 def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from A_k, plus the
-    counting rank function rho(X) = #{k : A_k meets X}.
-
-    The two descriptions are cross-checked against each other before
-    returning.
+    counting rank function rho(X) = #{k : A_k meets X}, which the paper
+    proves is the rank function of those bases.  The table of d * 2^n
+    steps is refused before any work when it passes the size cap.
     """
     n, family = pres.n, pres.family
+    check_cap(len(family) << n, "transversal rank table")
     current: set[Vector] = {(0,) * n}
     for mask in family:
         nxt = set()
@@ -184,13 +185,8 @@ def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
         check_cap(len(nxt), "transversal enumeration")
         current = nxt
     B = BaseSet(n, frozenset(current), len(family))
-    values = tuple(
-        sum(1 for mask in family if mask & x) for x in subsets(n)
-    )
-    rho = RankFunction(n, values)
-    if rank_function(B).values != values:
-        raise AssertionError("presentation rank function disagrees with its base set")
-    return B, rho
+    values = tuple(sum(1 for mask in family if mask & x) for x in subsets(n))
+    return B, RankFunction(n, values)
 
 
 def is_transversal(P: DiscretePolymatroid) -> TransversalPresentation | None:
@@ -199,9 +195,10 @@ def is_transversal(P: DiscretePolymatroid) -> TransversalPresentation | None:
     f(Y) = d - rho([n] - Y) counts the members of a presentation inside
     Y, so Moebius inversion over subsets turns f into the multiplicity
     of each member: the presentation is unique up to order and exists
-    exactly when every multiplicity is nonnegative.  It is returned with
-    its masks ascending.  Past rank zero, the rank table is refused by
-    the size cap as in :func:`rank_function`.
+    exactly when every multiplicity is nonnegative; its counting rank is
+    then rho, so its bases are those of P.  It is returned with its masks
+    ascending.  Past rank zero, the rank table is refused by the size cap
+    as in :func:`rank_function`.
     """
     n, d = P.n, P.rank
     if d == 0:
@@ -216,9 +213,7 @@ def is_transversal(P: DiscretePolymatroid) -> TransversalPresentation | None:
                 mult[mask] -= mult[mask ^ bit]
     if min(mult) < 0:
         return None
-    pres = TransversalPresentation(n, tuple(m for m in subsets(n) for _ in range(mult[m])))
-    B, _ = transversal(pres)
-    return pres if B.vectors == P.bases else None
+    return TransversalPresentation(n, tuple(m for m in subsets(n) for _ in range(mult[m])))
 
 
 # --- Gorenstein principal Borel sets ------------------------------------------

@@ -135,6 +135,18 @@ def sort_pair(u, v):
     return tuple(a), tuple(b)
 
 
+def sortable_first_failure(vectors):
+    """The first pair (u, v), in combinations_with_replacement order over
+    the sorted vectors, whose sorted image leaves the set; None when the
+    set is closed under sorting."""
+    members = set(vectors)
+    for u, v in combinations_with_replacement(sorted(members), 2):
+        a, b = sort_pair(u, v)
+        if a not in members or b not in members:
+            return (u, v)
+    return None
+
+
 def rank_values(vectors, n):
     """Max subset mass over the vectors, via explicit element subsets."""
     values = [0] * (1 << n)

@@ -9,12 +9,14 @@ from polymat import (
     GenericGorensteinParams,
     RankFunction,
     SizeCapExceeded,
+    Verdict,
     base_ring_generators,
     base_ring_gorenstein,
     base_set,
     bases,
     closed_inseparable_subsets,
     discrete_polymatroid,
+    downward_closure,
     ehrhart_generators,
     ehrhart_gorenstein,
     generic_gorenstein_rank,
@@ -61,6 +63,13 @@ def test_hilbert_function_examples():
     assert hilbert_function(ver, 0) == 1
     ehr = ehrhart_generators(cube(3, 3))
     assert hilbert_function(ehr, 1) == comb(6, 3)  # lattice size of the rank-3 simplex
+
+
+def test_hilbert_function_without_a_rank_reads_the_sumset():
+    G = graded_generators([(3, 0), (1, 2), (0, 3)])
+    assert G.rank is None
+    for t in range(5):
+        assert hilbert_function(G, t) == hilbert_values(G, t)[t]
 
 
 def test_hilbert_closed_forms():
@@ -387,6 +396,12 @@ def test_is_generic_grid_matches_closed_form():
         assert bool(is_generic(P)) == expected, (a1, a2, d)
 
 
+def test_is_generic_reports_a_thin_rank_face():
+    P = discrete_polymatroid(downward_closure(vector_set([(2, 1, 1), (1, 2, 1), (1, 1, 2)])))
+    # only (2, 1, 1) attains rho({1}) = 2, a face of affine dimension 0
+    assert is_generic(P) == Verdict(False, ("G3", 1, 0))
+
+
 def test_is_generic_requires_units():
     P = discrete_polymatroid(vector_set([(0, 0), (1, 0)]))
     with pytest.raises(ValueError):
@@ -419,6 +434,41 @@ def test_generic_gorenstein_round_trip_small():
     P = polymatroid_from_rank(rho)
     assert is_generic(P)
     assert base_ring_gorenstein(P.base_set)
+
+
+def test_generic_gorenstein_rank_is_strictly_increasing_and_submodular():
+    # the construction trusts the paper's proof; the proof is checked here
+    for n in range(3, 7):
+        for alpha in product((2, 3), repeat=n - 1):
+            for d in (sum(alpha) + 2, sum(alpha) + 5):
+                rho = generic_gorenstein_rank(GenericGorensteinParams(alpha, d))
+                assert validate_rank_function(rho), (alpha, d)
+                vals = rho.values
+                assert all(
+                    vals[mask] < vals[mask | 1 << i]
+                    for mask in range(1 << n)
+                    for i in range(n)
+                    if not mask >> i & 1
+                ), (alpha, d)
+
+
+def test_generic_gorenstein_cap_is_checked_before_the_table(monkeypatch):
+    import polymat.algebra as algebra
+
+    params = GenericGorensteinParams((2, 3, 2), 10)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(1 << 4))
+    assert len(generic_gorenstein_rank(params).values) == 1 << 4
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str((1 << 4) - 1))
+    with pytest.raises(SizeCapExceeded, match="generic Gorenstein rank table needs 16 points"):
+        generic_gorenstein_rank(params)
+    monkeypatch.delenv("POLYMAT_MAX_POINTS")
+
+    def fail(u):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(algebra, "subset_sums", fail)
+    with pytest.raises(SizeCapExceeded, match="needs 67108864 points"):
+        generic_gorenstein_rank(GenericGorensteinParams((2,) * 25, 60))
 
 
 def test_generic_gorenstein_params_validation():

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from itertools import product
 
@@ -99,9 +100,14 @@ def test_parse_document_rejections():
     with pytest.raises(SchemaError):
         parse_document(json.dumps({"kind": "base-set", "n": 2, "vectors": [[1, 0], [1, 1]]}))
     with pytest.raises(SchemaError):
-        parse_document(json.dumps({"kind": "rank-function", "n": 2, "values": [0, 1, 1, 3]}))
-    with pytest.raises(SchemaError):
         parse_document(json.dumps([1, 2, 3]))
+    # a rank table that fails its axioms is refused by the reader of `rank`,
+    # so `validate` can report it with a witness
+    doc = parse_document(json.dumps({"kind": "rank-function", "n": 2, "values": [0, 1, 1, 3]}))
+    read = build_parser().parse_args(["rank", "doc.json"]).read
+    message = "field 'values' is not a valid rank function: ('submodular', 1, 2)"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read(doc)
 
 
 # --- the three canonical invocations --------------------------------------------

@@ -57,6 +57,15 @@ DOCUMENTS = {
     "borel111": {"kind": "borel", "a": [1, 1, 1]},
     "veronese_params": {"kind": "params", "caps": [2, 2, 2], "d": 3},
     "generic_params": {"kind": "params", "alpha": [2, 2], "d": 6},
+    "transversal_n40": {"kind": "transversal", "n": 40, "family": [[1], [2]]},
+    "transversal_n16": {"kind": "transversal", "n": 16, "family": [[1], [2]]},
+    "sublattice_n40": {
+        "kind": "sublattice",
+        "n": 40,
+        "members": [[], list(range(1, 41))],
+        "mu": [0, 1],
+    },
+    "generic_params_n26": {"kind": "params", "alpha": [2] * 25, "d": 60},
     "malformed": '{"kind": "base-set", "n": 3,',
     "wrongkind": {"kind": "matroid", "n": 3},
     "missing": {"kind": "base-set", "n": 3},
@@ -150,6 +159,11 @@ CALLS = [
     ["normality", "--which", "ehrhart", "--tmax", "2", "@simplex"],
     ["normality", "--which", "base", "--tmax", "2", "@borel211"],
     ["normality", "--which", "base", "--tmax", "2", "@four"],
+    ["validate", "@badrank"],
+    ["construct", "transversal", "@transversal_n40"],
+    ["construct", "transversal", "@transversal_n16"],
+    ["construct", "sublattice", "@sublattice_n40"],
+    ["construct", "generic-gorenstein", "@generic_params_n26"],
 ]
 
 

@@ -31,6 +31,7 @@ from polymat import (
     vector_set,
     veronese,
 )
+from polymat.core import box_points
 from conftest import BOREL_211, STABLE_FIVE, BOREL_0101
 
 
@@ -67,6 +68,14 @@ def test_veronese_strong_exchange(caps, d):
     assert all(sum(u) == d for u in B.vectors)
     assert all(all(e <= c for e, c in zip(u, caps)) for u in B.vectors)
     assert exchange_property(B, ExchangeMode.STRONG)
+
+
+def test_veronese_packages_its_box_as_a_base_set():
+    # every caps vector of the pools (entries up to 3, up to four coordinates)
+    for k in range(1, 5):
+        for caps in product(range(4), repeat=k):
+            for d in range(sum(caps) + 1):
+                assert veronese(caps, d) == base_set(box_points([0] * k, caps, d)), (caps, d)
 
 
 def test_veronese_cap_is_checked_before_listing(monkeypatch):
@@ -237,6 +246,54 @@ def test_transversal_equals_polymatroid_sum():
         parts.append(discrete_polymatroid(vector_set(pts)))
     total = polymatroid_sum(*parts)
     assert total.bases == B.vectors
+
+
+def test_transversal_rank_is_the_rank_of_its_bases(monkeypatch):
+    for seed in range(200):
+        rng = Random(seed)
+        n = rng.randint(2, 7)
+        fam = tuple(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 4)))
+        B, rho = transversal(TransversalPresentation(n, fam))
+        assert rank_function(B).values == rho.values, (n, fam)
+    # rank_function's own table on [13] needs a raised cap
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(4 * 10**6))
+    B, rho = transversal(transversal_presentation(13, [[1, 2, 13], [5, 7], [2, 13], range(1, 14)]))
+    assert rank_function(B).values == rho.values
+
+
+def test_rank_tables_are_capped_before_they_are_built(monkeypatch):
+    from polymat import constructions
+
+    pres = transversal_presentation(3, [[1, 2], [2, 3], [3]])
+    L, mu = sublattice(3, [0b000, 0b001, 0b111]), {0b000: 0, 0b001: 1, 0b111: 2}
+    for build in (lambda: transversal(pres), lambda: sublattice_polymatroid(L, mu)):
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(3 << 3))
+        build()
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str((3 << 3) - 1))
+        with pytest.raises(SizeCapExceeded, match="rank table needs 24 points"):
+            build()
+    monkeypatch.delenv("POLYMAT_MAX_POINTS")
+
+    def fail(n):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(constructions, "subsets", fail)
+    n = 40
+    with pytest.raises(SizeCapExceeded, match="transversal rank table needs 2199023255552 points"):
+        transversal(transversal_presentation(n, [[1], [2]]))
+    full = (1 << n) - 1
+    with pytest.raises(SizeCapExceeded, match="sublattice rank table needs 2199023255552 points"):
+        sublattice_polymatroid(sublattice(n, [0, full]), {0: 0, full: 1})
+
+
+def test_is_transversal_presentation_generates_the_bases(instance_pool):
+    found = 0
+    for _, P in instance_pool:
+        pres = is_transversal(P)
+        if pres is not None:
+            assert transversal(pres)[0].vectors == P.bases
+            found += 1
+    assert found
 
 
 def test_is_transversal_counterexample():

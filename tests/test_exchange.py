@@ -8,6 +8,7 @@ import oracles
 from polymat import polymatroid, toric
 from polymat import (
     ExchangeMode,
+    Verdict,
     base_set,
     exchange_property,
     is_sortable,
@@ -302,6 +303,16 @@ def test_is_sortable_counterexample(borel_0101):
         u, v = verdict.witness
         s, t = sort_pair(u, v)
         assert s not in borel_0101.vectors or t not in borel_0101.vectors
+    assert is_sortable(base_set([(2, 0), (0, 2)])) == Verdict(False, ((0, 2), (2, 0)))
+
+
+def test_is_sortable_matches_first_failure_oracle(scan_pool):
+    refused = 0
+    for B in scan_pool:
+        witness = oracles.sortable_first_failure(B.vectors)
+        assert is_sortable(B) == Verdict(witness is None, witness)
+        refused += witness is not None
+    assert refused
 
 
 @settings(max_examples=40, deadline=None)
