@@ -16,6 +16,7 @@ from random import Random
 from polymat import (
     ExchangeMode,
     base_ring_gorenstein,
+    base_set,
     ehrhart_generators,
     exchange_property,
     hull_consistency,
@@ -25,9 +26,9 @@ from polymat import (
     rank_function,
     unit,
     validate_rank_function,
-    verify_symmetric_exchange,
     white_check,
 )
+from polymat.polymatroid import _exchange_failure
 
 
 def main() -> None:
@@ -49,7 +50,10 @@ def main() -> None:
 
         assert hull_consistency(P), f"hull failure at seed {args.seed + k}"
         assert validate_rank_function(rank_function(B))
-        assert verify_symmetric_exchange(B), f"exchange failure at seed {args.seed + k}"
+        # the scan on a fresh copy tests the symmetric exchange theorem, which
+        # the library takes as given for P's bases
+        symmetric = _exchange_failure(base_set(B.vectors), "symmetric")
+        assert symmetric, f"exchange failure at seed {args.seed + k}"
 
         weak = bool(exchange_property(B, ExchangeMode.WEAK))
         strong = bool(exchange_property(B, ExchangeMode.STRONG))

@@ -44,6 +44,8 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
+    _package,
+    _points_within,
     base_set,
     bases,
     contract,
@@ -52,7 +54,6 @@ from .polymatroid import (
     is_base_set,
     is_discrete_polymatroid,
     lift,
-    polymatroid_from_rank,
     polymatroid_sum,
     rank_function,
     rank_function_from_values,
@@ -186,8 +187,9 @@ def _polymatroid(doc: Document) -> DiscretePolymatroid:
         return discrete_polymatroid(doc.value)
     if doc.kind == "base-set":
         return discrete_polymatroid(downward_closure(VectorSet(doc.value.n, doc.value.vectors)))
-    if doc.kind == "rank-function":
-        return polymatroid_from_rank(_rank_function(doc))
+    if doc.kind == "rank-function":  # validated once, by _rank_function
+        rho = _rank_function(doc)
+        return _package(rho.n, _points_within(rho.values, rho.n))
     raise SchemaError(
         f"expected a vector-set, base-set or rank-function document, got {doc.kind!r}"
     )

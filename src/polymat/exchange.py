@@ -4,8 +4,8 @@ balancing rewrite along symmetric exchanges.
 Four exchange notions, ordered by strength on equal-modulus sets:
 strong (every candidate swap lands in B) implies base exchange (every
 deficit coordinate has some repair swap) implies weak (some swap exists
-per pair).  The symmetric property additionally requires the mirrored
-swap on the partner vector; every genuine base set satisfies it.
+per pair).  Symmetric exchange adds the mirrored swap on the partner, and
+holds on every base set, as weak does: both are scanned only off base sets.
 
 Each scan quantifies over the ordered pairs u, v and the i with u(i) >
 v(i) and j with u(j) < v(j): weak asks for some (i, j) with u - e_i + e_j
@@ -35,15 +35,16 @@ class ExchangeMode(Enum):
 def exchange_property(B: BaseSet, mode: ExchangeMode) -> Verdict:
     """Decide the selected exchange property, with a counterexample.
 
-    Witness shapes: weak -> (u, v); base -> (u, v, i); strong ->
-    (u, v, i, j); symmetric -> (u, v, i).  All indices 1-based,
-    lexicographically smallest violation first.
+    Weak and symmetric exchange hold by theorem where :func:`is_base_set`
+    does; other sets, and strong mode, are scanned.  Witness shapes: weak
+    -> (u, v); base -> (u, v, i); strong -> (u, v, i, j); symmetric ->
+    (u, v, i), 1-based, the lexicographically smallest violation first.
     """
     if mode is ExchangeMode.BASE:
         return is_base_set(B)
-    if mode is ExchangeMode.SYMMETRIC:
-        return verify_symmetric_exchange(B)
-    if mode in (ExchangeMode.WEAK, ExchangeMode.STRONG):
+    if mode in (ExchangeMode.WEAK, ExchangeMode.SYMMETRIC) and is_base_set(B):
+        return Verdict(True)
+    if isinstance(mode, ExchangeMode):
         return _exchange_failure(B, mode.value)
     raise ValueError(f"unknown exchange mode {mode!r}")
 
@@ -68,8 +69,8 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
 
 
 def verify_symmetric_exchange(B: BaseSet) -> Verdict:
-    """Every (u, v, i) with u(i) > v(i) must admit a two-sided swap."""
-    return _exchange_failure(B, "symmetric")
+    """Every u(i) > v(i) admits a two-sided swap, by theorem on a base set."""
+    return exchange_property(B, ExchangeMode.SYMMETRIC)
 
 
 # --- sorting ----------------------------------------------------------------

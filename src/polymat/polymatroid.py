@@ -102,8 +102,8 @@ class DiscretePolymatroid:
     """Validated discrete polymatroid with cached rank and bases.
 
     Build a point set from outside through :func:`discrete_polymatroid`,
-    which checks downward closure and the exchange axiom once; the
-    operations below package results that a theorem proves.
+    which checks the axioms once; the operations below package what a
+    theorem proves.  The base set carries :func:`is_base_set`'s verdict.
     """
 
     n: int
@@ -124,9 +124,9 @@ class DiscretePolymatroid:
     def point_set(self) -> VectorSet:
         return VectorSet(self.n, self.points)
 
-    @property
+    @cached_property
     def base_set(self) -> BaseSet:
-        return BaseSet(self.n, self.bases, self.rank)
+        return _proven(BaseSet(self.n, self.bases, self.rank))
 
 
 def vector_set(vectors: Iterable, n: int | None = None) -> VectorSet:
@@ -248,13 +248,19 @@ def bases(P: DiscretePolymatroid) -> BaseSet:
 def is_base_set(B: BaseSet) -> Verdict:
     """Holds exactly when B is the base set of a discrete polymatroid.
 
-    Decided by :func:`base_set_rank` where the rank table is cheap; the
+    Proved by :func:`base_set_rank` where the rank table is cheap; the
     one-sided exchange scan (every deficit coordinate admits a repair
-    swap) decides the rest and finds the witness of a refusal.
-    Witness: (u, v, i) with u(i) > v(i) but no j with u(j) < v(j) and
-    u - e_i + e_j in B.  Both give one verdict, which B keeps.
+    swap) decides the rest, with witness (u, v, i): u(i) > v(i) but no j
+    with u(j) < v(j) and u - e_i + e_j in B.  B keeps the verdict; the
+    bases of a polymatroid and its lift carry it from the start.
     """
     return B._base_verdict
+
+
+def _proven(B: BaseSet) -> BaseSet:
+    """B, which a theorem proves a base set, with that verdict set."""
+    B.__dict__["_base_verdict"] = Verdict(True)
+    return B
 
 
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
@@ -593,12 +599,12 @@ def contract(P: DiscretePolymatroid, x: Vector) -> DiscretePolymatroid:
 def lift(P: DiscretePolymatroid) -> BaseSet:
     """Append a slack coordinate so every point becomes a base.
 
-    Sends u to (u, rank - |u|) on the ground set [n+1]; the image is the
-    base set of a discrete polymatroid of the same rank.
+    Sends u to (u, rank - |u|) on the ground set [n+1]; the image, which
+    carries its verdict, is the base set of a polymatroid of the same rank.
     """
     d = P.rank
     vecs = frozenset(u + (d - modulus(u),) for u in P.points)
-    return BaseSet(P.n + 1, vecs, d)
+    return _proven(BaseSet(P.n + 1, vecs, d))
 
 
 def polymatroid_sum(*polymatroids: DiscretePolymatroid) -> DiscretePolymatroid:

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from polymat import cli, polymatroid
 from polymat.cli import SchemaError, build_parser, main, parse_document
 
 
@@ -363,6 +364,30 @@ def test_rank_function_documents_stand_for_their_polymatroid(capsys, tmp_path, s
     assert code == 0
     assert len(report["result"]["vectors"]) == 10
     assert all(sum(v) == 3 for v in report["result"]["vectors"])
+
+
+def test_rank_function_document_is_validated_once(capsys, monkeypatch, tmp_path):
+    # the reader checks the axioms once, with its own message, and the
+    # polymatroid is built from the checked table without a second check
+    checked = []
+    validate = polymatroid.validate_rank_function
+
+    def counted(rho):
+        checked.append(rho.values)
+        return validate(rho)
+
+    for module in (cli, polymatroid):
+        monkeypatch.setattr(module, "validate_rank_function", counted)
+    rho = write(tmp_path, "rho.json", {"kind": "rank-function", "n": 3, "values": [0] + [3] * 7})
+    code, report = run(capsys, "bases", rho)
+    assert code == 0 and len(report["result"]["vectors"]) == 10
+    assert checked == [(0,) + (3,) * 7]
+    bad = write(tmp_path, "bad.json", {"kind": "rank-function", "n": 2, "values": [0, 2, 2, 1]})
+    code, report = run(capsys, "bases", bad)
+    assert code == 2
+    assert report["error"] == "field 'values' is not a valid rank function: ('monotone', 1, 3)"
+    code, report = run(capsys, "validate", bad)
+    assert code == 1 and report["witness"] == ["monotone", 1, 3]
 
 
 def test_hilbert_size_cap_exits_two(capsys, monkeypatch, simplex3_file):

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from polymat import polymatroid, toric
+from polymat import exchange, polymatroid, toric
 from polymat import (
     ExchangeMode,
     Verdict,
     base_set,
     exchange_property,
+    is_base_set,
     is_sortable,
     is_sorted,
+    lift,
     modulus,
+    polymatroid_from_rank,
+    rank_function,
     rewrite_balanced,
     sign_sequence,
     sort_pair,
@@ -122,9 +126,10 @@ def test_witnesses_match_oracles(scan_pool):
     for B in scan_pool:
         for mode, failures in first_failures.items():
             expected = failures(B.vectors)
-            verdict = exchange_property(B, mode)
-            assert verdict.holds == (not expected), (sorted(B.vectors), mode)
-            assert verdict.witness == (expected[0] if expected else None), (sorted(B.vectors), mode)
+            want = Verdict(not expected, expected[0] if expected else None)
+            assert exchange_property(B, mode) == want, (sorted(B.vectors), mode)
+            # the scan itself, which base sets skip in weak and symmetric mode
+            assert polymatroid._exchange_failure(B, mode.value) == want, (sorted(B.vectors), mode)
             if expected:
                 refused.add(mode)
     # every mode's refusal path is exercised
@@ -183,7 +188,9 @@ def test_one_item_builds_each_swap_row_once(monkeypatch):
 def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     """The calls of one exchange item share the base set's symmetric moves,
     its base-set proof and the fiber searches: white_check(B, 3) reads the
-    degree-2 verdict that white_check(B, 2) found."""
+    degree-2 verdict that white_check(B, 2) found.  Weak and symmetric
+    exchange follow from the proof, so only strong mode scans; the bases of
+    a polymatroid and its lift need no proof at all."""
     calls, splits = Counter(), []
 
     def spy(module, name, log):
@@ -198,17 +205,28 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     spy(toric, "_symmetric_moves", lambda args: calls.update(["moves"]))
     spy(polymatroid, "base_set_rank", lambda args: calls.update(["proof"]))
     spy(toric, "_first_split", lambda args: splits.append((args[1], args[2].__name__)))
+    for module in (exchange, polymatroid):
+        spy(module, "_exchange_failure", lambda args: calls.update([args[1]]))
+
+    def item(B):
+        calls.clear()
+        splits.clear()
+        for mode in ExchangeMode:
+            exchange_property(B, mode)
+        is_sortable(B)
+        symmetric_exchange_relations(B)
+        white_check(B, 2)
+        white_check(B, 3)
+        rewrite_balanced(sorted(B.vectors)[::7], B)
+        assert splits == [(2, "_unreached"), (3, "_unshared")]
+
     B = veronese((2, 2, 2, 2), 3)
-    seq = sorted(B.vectors)[::7]
-    for mode in ExchangeMode:
-        exchange_property(B, mode)
-    is_sortable(B)
-    symmetric_exchange_relations(B)
-    white_check(B, 2)
-    white_check(B, 3)
-    rewrite_balanced(seq, B)
-    assert calls == {"moves": 1, "proof": 1}
-    assert splits == [(2, "_unreached"), (3, "_unshared")]
+    item(B)
+    assert calls == {"moves": 1, "proof": 1, "strong": 1}
+    P = polymatroid_from_rank(rank_function(B))
+    item(P.base_set)
+    assert is_base_set(lift(P))
+    assert calls == {"moves": 1, "strong": 1}
 
 
 # --- symmetric exchange -------------------------------------------------------

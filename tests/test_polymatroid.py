@@ -180,6 +180,16 @@ def test_base_set_proof_matches_exchange_scan(instance_pool, monkeypatch):
             assert verdict.witness in oracles.base_exchange_failures(B.vectors)
 
 
+def test_bases_and_lift_carry_the_verdict_a_fresh_proof_gives(instance_pool):
+    # a polymatroid keeps one base set; it and the lift carry the verdict
+    # that a theorem proves, which a fresh copy proves again
+    for _, P in instance_pool:
+        assert P.base_set is P.base_set
+        for B in (P.base_set, lift(P)):
+            fresh = is_base_set(base_set(B.vectors))
+            assert fresh and is_base_set(B) == fresh
+
+
 def test_rank_function_examples(four_bases):
     rho = rank_function(bases(cube(3, 3)))
     assert rho.values[0] == 0
