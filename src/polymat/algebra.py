@@ -264,17 +264,6 @@ class FacetDescription:
     rank_facets: tuple
 
 
-def _require_positive_singletons(rho: RankFunction) -> None:
-    verdict = validate_rank_function(rho)
-    if not verdict:
-        raise ValueError(f"invalid rank function: {verdict.witness}")
-    for i in range(rho.n):
-        if rho.values[1 << i] < 1:
-            raise ValueError(
-                f"rank of singleton {{{i + 1}}} is zero; unit vectors must be points"
-            )
-
-
 def _closed(vals: tuple, n: int, mask: int) -> bool:
     return all(vals[mask | (1 << i)] > vals[mask] for i in range(n) if not mask & (1 << i))
 
@@ -296,7 +285,17 @@ def closed_inseparable_subsets(rho: RankFunction) -> FacetDescription:
     and inseparable when no two-block partition splits its rank
     additively.
     """
-    _require_positive_singletons(rho)
+    verdict = validate_rank_function(rho)
+    if not verdict:
+        raise ValueError(f"invalid rank function: {verdict.witness}")
+    return _facets(rho)
+
+
+def _facets(rho: RankFunction) -> FacetDescription:
+    """closed_inseparable_subsets of a rho already proved a rank function."""
+    for i in range(rho.n):
+        if rho.values[1 << i] < 1:
+            raise ValueError(f"rank of singleton {{{i + 1}}} is zero; unit vectors must be points")
     n, vals = rho.n, rho.values
     facets = [
         (mask, vals[mask])
@@ -313,9 +312,12 @@ def ehrhart_gorenstein(rho: RankFunction) -> int | None:
     on every closed inseparable subset A, or None when no such integer
     exists (equivalently, the ring is not Gorenstein).
     """
-    facets = closed_inseparable_subsets(rho).rank_facets
+    return _dilation(closed_inseparable_subsets(rho))
+
+
+def _dilation(desc: FacetDescription) -> int | None:
     delta = None
-    for mask, value in facets:
+    for mask, value in desc.rank_facets:
         target = subset_size(mask) + 1
         if target % value:
             return None

@@ -17,10 +17,10 @@ from typing import Any
 from . import __version__
 from .algebra import (
     GenericGorensteinParams,
+    _dilation,
+    _facets,
     base_ring_generators,
-    closed_inseparable_subsets,
     ehrhart_generators,
-    ehrhart_gorenstein,
     generic_gorenstein_rank,
     h_star,
     hilbert_values,
@@ -308,7 +308,7 @@ def _cmd_gorenstein(doc: Document, args) -> dict:
         h = data.h_star_trimmed
         return {"verdict": h == h[::-1], "h_star": h, "krull_dim": data.krull_dim}
     if args.which == "ehrhart":
-        delta = ehrhart_gorenstein(_rank_function(doc))
+        delta = _dilation(_facets(_rank_function(doc)))
         return {"verdict": delta is not None, "delta": delta}
     if doc.kind != "borel":
         raise SchemaError("the base-ring criterion method needs a borel document")
@@ -316,7 +316,7 @@ def _cmd_gorenstein(doc: Document, args) -> dict:
 
 
 def _cmd_facets(rho: RankFunction, args) -> dict:
-    desc = closed_inseparable_subsets(rho)
+    desc = _facets(rho)
     facets = [{"subset": subset_elements(m), "rank": r} for m, r in desc.rank_facets]
     return {"result": {"coordinate_facets": desc.coordinate_facets, "rank_facets": facets}}
 

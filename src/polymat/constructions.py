@@ -28,20 +28,21 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
+    _proven,
     polymatroid_from_rank,
     rank_function,
 )
 
 
 def veronese(caps: Iterable[int], d: int) -> BaseSet:
-    """All vectors of modulus d under per-coordinate caps."""
+    """All vectors of modulus d under per-coordinate caps, a proven base set."""
     s = as_vector(caps)
     if d < 0:
         raise ValueError("modulus must be nonnegative")
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
     check_cap(box_count([0] * len(s), s, d), "Veronese enumeration")
-    return BaseSet(len(s), frozenset(box_points([0] * len(s), s, d)), d)
+    return _proven(BaseSet(len(s), frozenset(box_points([0] * len(s), s, d)), d))
 
 
 def is_strongly_stable(S: VectorSet) -> Verdict:
@@ -171,8 +172,8 @@ def transversal_presentation(n: int, family: Iterable[Iterable[int]]) -> Transve
 def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from A_k, plus the
     counting rank function rho(X) = #{k : A_k meets X}, which the paper
-    proves is the rank function of those bases.  The table of d * 2^n
-    steps is refused before any work when it passes the size cap.
+    proves is the rank function of those bases, a proven base set.  The
+    table of d * 2^n steps is refused before any work past the size cap.
     """
     n, family = pres.n, pres.family
     check_cap(len(family) << n, "transversal rank table")
@@ -184,7 +185,7 @@ def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
                 nxt.add(v[: i - 1] + (v[i - 1] + 1,) + v[i:])
         check_cap(len(nxt), "transversal enumeration")
         current = nxt
-    B = BaseSet(n, frozenset(current), len(family))
+    B = _proven(BaseSet(n, frozenset(current), len(family)))
     values = tuple(sum(1 for mask in family if mask & x) for x in subsets(n))
     return B, RankFunction(n, values)
 

@@ -465,20 +465,29 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
     and |u| = t*rho([n]).
 
-    Counted by contraction.  A state is a residual table g on the
-    coordinates left (the next one at bit 0) with the mass rem left.
-    Fixing the next coordinate at v in [max(0, rem - g(rest)), g(next)],
-    the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) - t*rho([n] - A)
-    on the masks it ends, leaves g'(B) = min(g(B), g(B + next) - v) and
-    rem - v.  Equal states have equally many completions, so each level
+    Counted by contraction, coordinate 1 first.  A state is a residual
+    table g on the coordinates left; its full-set entry is the mass rem
+    left.  Fixing the next coordinate at v, in [max(0, rem - g(rest)),
+    g(next)], the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
+    t*rho([n] - A) on the masks it ends leave g'(B) = min(g(B), g(B +
+    next) - v).  Equal states have equally many completions, so each level
     maps its states to the number of prefixes reaching them.  The last
     three coordinates take one interval per state, read off four entries
-    of it.  Every inequality is checked, so the count does not rest on
-    submodularity.  Returns None when more than ``limit`` prefixes of
-    n - 2 coordinates are due (each state times its interval's width),
-    before counting them.  Every prefix of a rank function extends to a
-    base, so such a table is refused at the first level past ``limit``
-    and no level built has more states.  No point is stored.
+    of it.  Every inequality is checked: no use is made of submodularity.
+
+    A table is one int: g(A) plus a bias, under a guard bit, fills the
+    field at rev(A), the bits of A reversed.  So g(B) is the low half of
+    the int and g(B + next) the high half, and g' is one subtraction with
+    the guard bits set, whose guard bits left pick the minimum.  Each
+    fixed coordinate is at most its singleton entry, so the bias
+    n*max(t*rho, 0) - min(t*rho, 0) keeps every field nonnegative.
+
+    Returns None when more than ``limit`` prefixes of n - 2 coordinates
+    are due (each state times its interval's width), before counting
+    them; the coordinates go in the oracles' order, so every None is
+    theirs.  Every prefix of a rank function extends to a base, so such a
+    table is refused at the first level past ``limit`` and no level built
+    has more states.  No point is stored.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -489,30 +498,48 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         return 1
     if n == 2:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    states = {(r, total): 1}
+    bias = n * max(*r, 0) - min(*r, 0)
+    bits = (max(*r, 0) + bias).bit_length() + 1
+    field = (1 << bits - 1) - 1
+    packed = [v + bias for v in r]
+    for k in range(n):  # mask bit n - 1 - k becomes bit k of the field index
+        half = len(packed) // 2
+        packed = [a | b << (bits << k) for a, b in zip(packed[:half], packed[half:])]
+    states = {packed[0]: 1}
     for left in range(n - 3, -1, -1):
-        due = sum(mult * max(0, g[1] - max(0, rem - g[-2]) + 1) for (g, rem), mult in states.items())
+        shift = bits << left + 2
+        rest, full = shift - bits, 2 * shift - bits  # where g(rest) and rem sit; g(next) at shift
+        spans = [
+            (g, mult, max(0, (g >> full) - (g >> rest & field)), (g >> shift & field) - bias)
+            for g, mult in states.items()
+        ]
+        due = sum(mult * max(0, hi - lo + 1) for _, mult, lo, hi in spans)
         if due > limit and (not left or validate_rank_function(rho)):
             return None
         if not left:
             break
+        low = (1 << shift) - 1
+        ones = low // ((1 << bits) - 1)
+        guard = ones << bits - 1
         level: dict = {}
-        for (g, rem), mult in states.items():
-            keep, drop = g[0::2], g[1::2]
-            for v in range(max(0, rem - g[-2]), g[1] + 1):
-                child = (tuple(map(min, keep, [x - v for x in drop])), rem - v)
+        for g, mult, lo, hi in spans:
+            keep, drop = g & low, (g >> shift) - lo * ones
+            lifted = keep | guard
+            for _ in range(lo, hi + 1):
+                less = (lifted - drop) & guard
+                child = keep ^ ((keep ^ drop) & (less - (less >> bits - 1)))
                 level[child] = level.get(child, 0) + mult
+                drop -= ones
         states = level
-    # coordinate n - 2 at v, and n - 1 in [max(floor, gap - v), min(ceil, top - v)]
+    # coordinate n - 2 at v in [lo, hi], and n - 1 in [max(floor, gap - v), min(ceil, top - v)]
     count = 0
-    for (g, rem), mult in states.items():
-        ceil, top, floor, gap = g[2], min(rem, g[3]), max(0, rem - g[5]), rem - g[4]
-        widths = 0
-        for v in range(max(0, rem - g[6]), g[1] + 1):
+    for g, mult, lo, hi in spans:
+        rem, g2, g3, g4, g5 = [(g >> bits * i & field) - bias for i in (7, 2, 6, 1, 5)]
+        ceil, top, floor, gap = g2, min(rem, g3), max(0, rem - g5), rem - g4
+        for v in range(lo, hi + 1):
             width = min(ceil, top - v) - max(floor, gap - v) + 1
             if width > 0:
-                widths += width
-        count += mult * widths
+                count += mult * width
     return count
 
 

@@ -509,6 +509,44 @@ def count_bases_dfs(rho, t, limit):
     return count
 
 
+def count_bases_contraction(rho, t, limit):
+    """Integer bases of t*rho by the contraction counter with tuple states
+    that the packed one replaced: a state is a residual table g on the
+    coordinates left (the next one at bit 0) and the mass rem left, and
+    fixing the next coordinate at v leaves g'(B) = min(g(B), g(B + next) -
+    v) and rem - v; the closed form takes the last three coordinates.
+    None once more than limit prefixes of n - 2 coordinates are due, checked
+    at the last level only (the library refuses a rank function earlier,
+    with the same result)."""
+    n = rho.n
+    r = tuple(t * v for v in rho.values)
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    states = {(r, total): 1}
+    for _ in range(n - 3):
+        level = {}
+        for (g, rem), mult in states.items():
+            keep, drop = g[0::2], g[1::2]
+            for v in range(max(0, rem - g[-2]), g[1] + 1):
+                child = (tuple(map(min, keep, [x - v for x in drop])), rem - v)
+                level[child] = level.get(child, 0) + mult
+        states = level
+    due = sum(mult * max(0, g[1] - max(0, rem - g[-2]) + 1) for (g, rem), mult in states.items())
+    if due > limit:
+        return None
+    count = 0
+    for (g, rem), mult in states.items():
+        ceil, top, floor, gap = g[2], min(rem, g[3]), max(0, rem - g[5]), rem - g[4]
+        for v in range(max(0, rem - g[6]), g[1] + 1):
+            width = min(ceil, top - v) - max(floor, gap - v) + 1
+            if width > 0:
+                count += mult * width
+    return count
+
+
 def transversal_bases(n, family):
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from the kth mask."""
     out = set()

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polymat import cli, polymatroid
+from polymat import algebra, cli, polymatroid
 from polymat.cli import SchemaError, build_parser, main, parse_document
 
 
@@ -388,6 +388,37 @@ def test_rank_function_document_is_validated_once(capsys, monkeypatch, tmp_path)
     assert report["error"] == "field 'values' is not a valid rank function: ('monotone', 1, 3)"
     code, report = run(capsys, "validate", bad)
     assert code == 1 and report["witness"] == ["monotone", 1, 3]
+
+
+def test_facets_and_criterion_validate_a_rank_function_document_once(capsys, monkeypatch, tmp_path):
+    # the reader checks the axioms; the facets and the dilation are read off
+    # the checked table, though the public algebra functions still validate
+    checked = []
+    validate = polymatroid.validate_rank_function
+
+    def counted(rho):
+        checked.append(rho.values)
+        return validate(rho)
+
+    for module in (cli, polymatroid, algebra):
+        monkeypatch.setattr(module, "validate_rank_function", counted)
+    rho = write(tmp_path, "rho.json", {"kind": "rank-function", "n": 3, "values": [0] + [1] * 7})
+    code, report = run(capsys, "facets", rho)
+    assert code == 0 and report["result"]["rank_facets"] == [{"rank": 1, "subset": [1, 2, 3]}]
+    assert checked == [(0,) + (1,) * 7]
+    checked.clear()
+    code, report = run(capsys, "gorenstein", "--which", "ehrhart", "--method", "criterion", rho)
+    assert code == 0 and report["delta"] == 4
+    assert checked == [(0,) + (1,) * 7]
+    # the singleton check still runs after the reader's
+    loop = write(tmp_path, "loop.json", {"kind": "rank-function", "n": 2, "values": [0, 0, 1, 1]})
+    for argv in (["facets"], ["gorenstein", "--which", "ehrhart", "--method", "criterion"]):
+        code, report = run(capsys, *argv, loop)
+        assert code == 2
+        assert report["error"] == "rank of singleton {1} is zero; unit vectors must be points"
+    checked.clear()
+    assert algebra.ehrhart_gorenstein(polymatroid.RankFunction(3, (0,) + (1,) * 7)) == 4
+    assert len(checked) == 1
 
 
 def test_hilbert_size_cap_exits_two(capsys, monkeypatch, simplex3_file):

@@ -31,6 +31,7 @@ from polymat import (
     vector_set,
     veronese,
 )
+from polymat import polymatroid
 from polymat.core import box_points
 from conftest import BOREL_211, STABLE_FIVE, BOREL_0101
 
@@ -259,6 +260,24 @@ def test_transversal_rank_is_the_rank_of_its_bases(monkeypatch):
     monkeypatch.setenv("POLYMAT_MAX_POINTS", str(4 * 10**6))
     B, rho = transversal(transversal_presentation(13, [[1, 2, 13], [5, 7], [2, 13], range(1, 14)]))
     assert rank_function(B).values == rho.values
+
+
+def test_veronese_and_transversal_bases_carry_a_verdict_that_a_fresh_proof_confirms():
+    # the paper proves both families base sets, so they carry the verdict; a
+    # fresh copy of each carries none and is proved by its rank table
+    rng = Random(17)
+    sets = []
+    for _ in range(40):
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5)))
+        sets.append(veronese(caps, rng.randint(0, sum(caps))))
+        n = rng.randint(1, 6)
+        fam = tuple(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 4)))
+        sets.append(transversal(TransversalPresentation(n, fam))[0])
+    for B in sets:
+        assert "_base_verdict" in vars(B) and is_base_set(B)
+        fresh = base_set(B.vectors, B.n)
+        assert "_base_verdict" not in vars(fresh)
+        assert polymatroid.base_set_rank(fresh) is not None and is_base_set(fresh), sorted(B.vectors)
 
 
 def test_rank_tables_are_capped_before_they_are_built(monkeypatch):

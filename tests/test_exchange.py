@@ -187,10 +187,11 @@ def test_one_item_builds_each_swap_row_once(monkeypatch):
 
 def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     """The calls of one exchange item share the base set's symmetric moves,
-    its base-set proof and the fiber searches: white_check(B, 3) reads the
+    its base-set verdict and the fiber searches: white_check(B, 3) reads the
     degree-2 verdict that white_check(B, 2) found.  Weak and symmetric
-    exchange follow from the proof, so only strong mode scans; the bases of
-    a polymatroid and its lift need no proof at all."""
+    exchange follow from the verdict, so only strong mode scans; a Veronese
+    set, the bases of a polymatroid and its lift carry the verdict and need
+    no proof at all."""
     calls, splits = Counter(), []
 
     def spy(module, name, log):
@@ -222,7 +223,7 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
 
     B = veronese((2, 2, 2, 2), 3)
     item(B)
-    assert calls == {"moves": 1, "proof": 1, "strong": 1}
+    assert calls == {"moves": 1, "strong": 1}
     P = polymatroid_from_rank(rank_function(B))
     item(P.base_set)
     assert is_base_set(lift(P))

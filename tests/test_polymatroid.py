@@ -517,32 +517,48 @@ def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool)
     # every limit up to the first that gives a count, on the pools' rank functions
     for rho, _ in instance_pool + positive_pool:
         for t in (1, 2):
-            limit = 0
-            while (got := count_bases(rho, t, limit)) is None:
-                assert oracles.count_bases(rho, t, limit) is None, (rho, t, limit)
-                limit += 1
-            assert got == oracles.count_bases(rho, t, limit), (rho, t, limit)
+            _agrees_with_the_oracles_at_every_limit(rho, t)
     # the lifted ranks that count the point rings, refused and in full
     for _, P in instance_pool:
         rho = ehrhart_generators(P).rank
         for t in (1, 2, 3):
             for limit in (0, 10**9):
-                assert count_bases(rho, t, limit) == oracles.count_bases(rho, t, limit), (rho, t)
+                got = count_bases(rho, t, limit)
+                assert all(oracle(rho, t, limit) == got for oracle in COUNT_ORACLES), (rho, t)
 
 
-def _agrees_with_both_oracles_at_every_limit(rho, t):
-    """The count, or None, equals both oracles' at every limit from 0 up to
+COUNT_ORACLES = (oracles.count_bases, oracles.count_bases_dfs, oracles.count_bases_contraction)
+
+
+def _agrees_with_the_oracles_at_every_limit(rho, t):
+    """The count, or None, equals every oracle's at every limit from 0 up to
     the first that gives a count."""
     limit = 0
     while (got := count_bases(rho, t, limit)) is None:
-        assert oracles.count_bases(rho, t, limit) is None, (rho, t, limit)
-        assert oracles.count_bases_dfs(rho, t, limit) is None, (rho, t, limit)
+        for oracle in COUNT_ORACLES:
+            assert oracle(rho, t, limit) is None, (oracle.__name__, rho, t, limit)
         limit += 1
-    assert got == oracles.count_bases(rho, t, limit) == oracles.count_bases_dfs(rho, t, limit), (
-        rho,
-        t,
-        limit,
-    )
+    for oracle in COUNT_ORACLES:
+        assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
+
+
+def _agrees_with_the_oracles_at_the_threshold(rho, t):
+    """Every counter gives None below one limit and its count from there on,
+    so agreeing at that limit and the one below is agreeing at every limit.
+    The limit is found by bisection, for counts too many to walk."""
+    below, limit = -1, 0
+    while count_bases(rho, t, limit) is None:
+        below, limit = limit, 2 * limit + 1
+    while limit - below > 1:
+        mid = (below + limit) // 2
+        if count_bases(rho, t, mid) is None:
+            below = mid
+        else:
+            limit = mid
+    got = count_bases(rho, t, limit)
+    for oracle in COUNT_ORACLES:
+        assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
+        assert below < 0 or oracle(rho, t, below) is None, (oracle.__name__, rho, t, below)
 
 
 def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
@@ -560,7 +576,7 @@ def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
                 values[rng.randrange(1, 1 << n)] = rng.randint(-1, 4)
         rho = RankFunction(n, tuple(values))
         tables.append(rho)
-        _agrees_with_both_oracles_at_every_limit(rho, rng.randint(0, 3))
+        _agrees_with_the_oracles_at_every_limit(rho, rng.randint(0, 3))
     others = [rho for rho in tables if not validate_rank_function(rho)]
     assert len(others) >= 180
     assert sum(count_bases(rho, 2, 10**9) > 0 for rho in others) >= 50
@@ -572,7 +588,40 @@ def test_count_bases_matches_both_oracles_on_random_rank_functions():
         for _ in range(12):
             rho = random_rank_function(rng, n, rng.randint(1, 3))
             for t in (0, 1, 2):
-                _agrees_with_both_oracles_at_every_limit(rho, t)
+                _agrees_with_the_oracles_at_every_limit(rho, t)
+
+
+def test_count_bases_matches_the_oracles_on_wide_fields_and_large_ground_sets():
+    # degrees 20..40 on three to five coordinates: every packed field is wider
+    # than 8 bits, (n + 1) * t * rho([n]) >= 160 with the guard bit on top
+    rng = Random(17)
+    wide = 0
+    while wide < 24:
+        rho = random_rank_function(rng, rng.randint(3, 5), 3)
+        if rho.values[-1] >= 2:
+            wide += 1
+            _agrees_with_the_oracles_at_the_threshold(rho, rng.randint(20, 40))
+    # rank functions on seven and eight coordinates, and tables with entries
+    # down to -3: uniform ones, some with no entry above 1, and rank functions
+    # with entries redrawn
+    tables = []
+    for n in (7, 8) * 4:
+        tables.append(random_rank_function(rng, n, rng.randint(1, 2)))
+        values = list(random_rank_function(rng, n, 3).values)
+        for _ in range(rng.randint(1, 4)):
+            values[rng.randrange(1, 1 << n)] = rng.randint(-3, 3)
+        tables.append(RankFunction(n, tuple(values)))
+        tables.append(RankFunction(n, (0,) + tuple(rng.randint(-3, 4) for _ in range((1 << n) - 1))))
+    for n in (3, 4, 5, 6) * 8:
+        values = list(random_rank_function(rng, n, 3).values)
+        values[rng.randrange(1, 1 << n)] = -3
+        tables.append(RankFunction(n, tuple(values)))
+        tables.append(RankFunction(n, (0,) + tuple(rng.randint(-3, 1) for _ in range((1 << n) - 1))))
+    for rho in tables:
+        _agrees_with_the_oracles_at_every_limit(rho, rng.randint(1, 2))
+    assert sum(min(rho.values) == -3 for rho in tables) >= 30
+    # no vector meets a negative bound, but many tables have prefixes due
+    assert sum(count_bases(rho, 2, 0) is None for rho in tables if min(rho.values) < 0) >= 15
 
 
 def test_count_bases_on_three_coordinates_runs_no_contraction_level():
@@ -581,7 +630,7 @@ def test_count_bases_on_three_coordinates_runs_no_contraction_level():
     rho = RankFunction(3, (0, 1, 1, 1, 0, 1, 1, 1))
     for t in range(5):
         assert count_bases(rho, t, 10**9) == t + 1
-        _agrees_with_both_oracles_at_every_limit(rho, t)
+        _agrees_with_the_oracles_at_every_limit(rho, t)
     # every entry 0: the zero vector is the one base at every degree
     zero_table = RankFunction(3, (0,) * 8)
     assert [count_bases(zero_table, t, 1) for t in range(4)] == [1, 1, 1, 1]
