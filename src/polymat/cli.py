@@ -245,7 +245,7 @@ def _encode(value: Any) -> Any:
         return [_encode(x) for x in value]
     if isinstance(value, DiscretePolymatroid):
         value = value.point_set
-    if isinstance(value, (VectorSet, BaseSet)):
+    if isinstance(value, VectorSet):
         kind = "base-set" if isinstance(value, BaseSet) else "vector-set"
         return {"kind": kind, "n": value.n, "vectors": _encode(sorted(value.vectors))}
     if isinstance(value, RankFunction):

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
-from .core import Vector, Verdict, exchange_step, modulus, set_bits, sorted_vectors
+from .core import Vector, Verdict, deal, exchange_step, modulus, set_bits
 from .polymatroid import BaseSet, _deficits, _exchange_failure, is_base_set
 
 
@@ -87,16 +87,7 @@ def sort_pair(u: Vector, v: Vector) -> tuple[Vector, Vector]:
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     if modulus(u) != modulus(v):
         raise ValueError("sorting requires equal moduli")
-    a = [0] * len(u)
-    b = [0] * len(u)
-    seen = 0
-    for idx in range(len(u)):
-        c = u[idx] + v[idx]
-        odd = (c + 1) // 2 if seen % 2 == 0 else c // 2
-        a[idx] = odd
-        b[idx] = c - odd
-        seen += c
-    return tuple(a), tuple(b)
+    return deal(u, v)
 
 
 def is_sorted(u: Vector, v: Vector) -> bool:
@@ -125,13 +116,8 @@ def sign_sequence(w: Vector) -> str:
 
 def is_sortable(B: BaseSet) -> Verdict:
     """Is B closed under the sorting operator?  Witness: the first pair
-    whose sorted image leaves B."""
-    vs = B.vectors
-    for u, v in combinations_with_replacement(sorted_vectors(vs), 2):
-        s, t = sort_pair(u, v)
-        if s not in vs or t not in vs:
-            return Verdict(False, (u, v))
-    return Verdict(True)
+    whose sorted image leaves B.  Decided once per base set."""
+    return B._sortable_verdict
 
 
 # --- balancing rewrite ------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     Verdict,
     as_vector,
     check_cap,
+    deal,
     max_points,
     modulus,
     set_bits,
@@ -53,21 +54,10 @@ class VectorSet:
 
 
 @dataclass(frozen=True)
-class BaseSet:
+class BaseSet(VectorSet):
     """A finite nonempty set of integer vectors of equal modulus."""
 
-    n: int
-    vectors: frozenset
     modulus: int
-
-    def __iter__(self) -> Iterator[Vector]:
-        return iter(sorted_vectors(self.vectors))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __contains__(self, u) -> bool:
-        return u in self.vectors
 
     @cached_property
     def _swaps(self):
@@ -79,6 +69,11 @@ class BaseSet:
     def _base_verdict(self) -> Verdict:
         """:func:`is_base_set`'s verdict, decided once per base set."""
         return Verdict(True) if base_set_rank(self) is not None else _exchange_failure(self, "base")
+
+    @cached_property
+    def _sortable_verdict(self) -> Verdict:
+        """:func:`_sort_failure`'s verdict, decided once per base set."""
+        return _sort_failure(self)
 
     @cached_property
     def _moves(self) -> dict:
@@ -353,6 +348,15 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     return Verdict(True)
 
 
+def _sort_failure(B: BaseSet) -> Verdict:
+    """Is B closed under sorting?  Witness: the first pair u < v whose sorted
+    image leaves B (u and u sort to themselves).  The pairs of B pass the
+    checks of :func:`exchange.sort_pair`, so they are dealt unchecked."""
+    vs = B.vectors
+    bad = next((p for p in combinations(B._swaps[0], 2) if not vs.issuperset(deal(*p))), None)
+    return Verdict(bad is None, bad)
+
+
 def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tuple]:
     """Every nontrivial symmetric exchange of B, once.
 
@@ -478,9 +482,12 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     A table is one int: g(A) plus a bias, under a guard bit, fills the
     field at rev(A), the bits of A reversed.  So g(B) is the low half of
     the int and g(B + next) the high half, and g' is one subtraction with
-    the guard bits set, whose guard bits left pick the minimum.  Each
-    fixed coordinate is at most its singleton entry, so the bias
-    n*max(t*rho, 0) - min(t*rho, 0) keeps every field nonnegative.
+    the guard bits set, whose guard bits left pick the minimum.  A state
+    comes from a prefix x >= 0 with x(S) <= t*rho(S) on the masks S of the
+    fixed coordinates, g(A) being the least t*rho(A + S) - x(S), and the
+    prefix extended by v is one too.  So g(A) and g(A + next) - v are both
+    at least min(t*rho) - max(t*rho, 0), and the bias max(t*rho, 0) -
+    min(t*rho, 0) keeps every field nonnegative.
 
     Returns None when more than ``limit`` prefixes of n - 2 coordinates
     are due (each state times its interval's width), before counting
@@ -498,7 +505,7 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         return 1
     if n == 2:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    bias = n * max(*r, 0) - min(*r, 0)
+    bias = max(*r, 0) - min(*r, 0)
     bits = (max(*r, 0) + bias).bit_length() + 1
     field = (1 << bits - 1) - 1
     packed = [v + bias for v in r]

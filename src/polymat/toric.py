@@ -10,8 +10,13 @@ sorted bases, grouped by a packed sum that orders as the vector sums
 do; the exchanges go once per base set into an undirected table by
 index pair, kept on it with the move list and the degrees searched.
 
-Degree 2 is searched breadth first.  Above it a lemma does the work, for
-any move set: if every degree-(m - 1) fiber is connected, two degree-m
+Degree 2 is searched breadth first.  Above it two results do the work,
+both for any move set.  A sortable base set has a quadratic Groebner
+basis of sorting binomials (Sturmfels, Groebner Bases and Convex
+Polytopes, 1996, Thm 14.2), so pair swaps inside degree-2 fibers connect
+every fiber of every degree; once the moves connect each degree-2 fiber,
+each such swap is a chain of moves, and every fiber is connected.  On
+other sets, if every degree-(m - 1) fiber is connected, two degree-m
 members sharing a base e are connected (remove e, join the rests, put e
 back), and every move keeps m - 2 >= 1 bases, so a fiber's components
 are those of "shares a base".  Degrees 3, 4, ... are checked that way
@@ -26,6 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .core import SizeCapExceeded, Vector, Verdict, check_cap, packer, sorted_vectors
+from .exchange import is_sortable
 from .polymatroid import BaseSet, _symmetric_moves, is_base_set
 
 
@@ -221,11 +227,14 @@ def white_check(
     degree m; a False verdict returns (total, member_a, member_b) for the
     least multiset of the first disconnected fiber and the least one it cannot
     reach, a candidate counterexample to generation by symmetric exchanges.
-    Degree 2 is searched breadth first.  Above it, while the degree below is
-    connected, members that share a base are connected and every move keeps a
-    base, so fibers are split by shared bases; once a lower degree fails,
-    degree m is searched breadth first.  The moves, their index table and the
-    lower-degree verdicts are built once per base set.
+    Degree 2 is searched breadth first.  Above it, a sortable B whose degree 2
+    is connected holds by the sorting theorem (Sturmfels 1996, Thm 14.2): pair
+    swaps connect all its fibers, and each swap is a chain of moves.  On other
+    sets, while the degree below is connected, members that share a base are
+    connected and every move keeps a base, so fibers are split by shared
+    bases; once a lower degree fails, degree m is searched breadth first.
+    The moves, their index table and the lower-degree verdicts are built once
+    per base set.
     """
     if m < 2:
         raise ValueError(f"connectivity is only meaningful for degree >= 2, got {m}")
@@ -239,6 +248,8 @@ def white_check(
 
     degree = 2
     split = split_at(degree, _unreached)
+    if split is None and m > 2 and is_sortable(B):
+        return Verdict(True)
     while split is None and degree < m:
         degree += 1
         split = split_at(degree, _unshared)

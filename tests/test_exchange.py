@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,11 +188,12 @@ def test_one_item_builds_each_swap_row_once(monkeypatch):
 
 def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     """The calls of one exchange item share the base set's symmetric moves,
-    its base-set verdict and the fiber searches: white_check(B, 3) reads the
-    degree-2 verdict that white_check(B, 2) found.  Weak and symmetric
-    exchange follow from the verdict, so only strong mode scans; a Veronese
-    set, the bases of a polymatroid and its lift carry the verdict and need
-    no proof at all."""
+    its base-set and sortable verdicts and the fiber searches:
+    white_check(B, 3) reads the degree-2 verdict that white_check(B, 2)
+    found and, the set being sortable, searches no degree-3 fiber.  Weak and
+    symmetric exchange follow from the verdict, so only strong mode scans; a
+    Veronese set, the bases of a polymatroid and its lift carry the verdict
+    and need no proof at all."""
     calls, splits = Counter(), []
 
     def spy(module, name, log):
@@ -205,6 +207,7 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
 
     spy(toric, "_symmetric_moves", lambda args: calls.update(["moves"]))
     spy(polymatroid, "base_set_rank", lambda args: calls.update(["proof"]))
+    spy(polymatroid, "_sort_failure", lambda args: calls.update(["sortable"]))
     spy(toric, "_first_split", lambda args: splits.append((args[1], args[2].__name__)))
     for module in (exchange, polymatroid):
         spy(module, "_exchange_failure", lambda args: calls.update([args[1]]))
@@ -219,15 +222,15 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
         white_check(B, 2)
         white_check(B, 3)
         rewrite_balanced(sorted(B.vectors)[::7], B)
-        assert splits == [(2, "_unreached"), (3, "_unshared")]
+        assert splits == [(2, "_unreached")]
 
     B = veronese((2, 2, 2, 2), 3)
     item(B)
-    assert calls == {"moves": 1, "strong": 1}
+    assert calls == {"moves": 1, "strong": 1, "sortable": 1}
     P = polymatroid_from_rank(rank_function(B))
     item(P.base_set)
     assert is_base_set(lift(P))
-    assert calls == {"moves": 1, "strong": 1}
+    assert calls == {"moves": 1, "strong": 1, "sortable": 1}
 
 
 # --- symmetric exchange -------------------------------------------------------
@@ -332,6 +335,30 @@ def test_is_sortable_matches_first_failure_oracle(scan_pool):
         assert is_sortable(B) == Verdict(witness is None, witness)
         refused += witness is not None
     assert refused
+
+
+def test_sortable_verdict_is_decided_once_per_base_set(scan_pool, monkeypatch):
+    """One scan per base set, whichever of is_sortable, white_check(B, 3) and
+    white_check(B, 4) reads the verdict first; its witness is the oracle's
+    on every set of the pool, sortable or not."""
+    scans = []
+    scan = polymatroid._sort_failure
+    monkeypatch.setattr(polymatroid, "_sort_failure", lambda B: scans.append(B) or scan(B))
+    steps = {"sortable": is_sortable, 3: lambda B: white_check(B, 3), 4: lambda B: white_check(B, 4)}
+    checked = sortable = 0
+    for B in scan_pool:
+        witness = oracles.sortable_first_failure(B.vectors)
+        orders = permutations(steps) if is_base_set(B) and len(B) <= 12 else [("sortable",)]
+        for order in orders:
+            C = dataclasses.replace(B)
+            scans.clear()
+            for step in order + ("sortable",):
+                steps[step](C)
+                assert len(scans) == 1 and scans[0] is C
+            assert is_sortable(C) == Verdict(witness is None, witness)
+            checked += len(order) > 1
+        sortable += witness is None
+    assert checked > 100 and 0 < sortable < len(scan_pool)
 
 
 @settings(max_examples=40, deadline=None)

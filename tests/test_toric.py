@@ -17,6 +17,7 @@ from polymat import (
     fiber_graph,
     fibers,
     is_base_set,
+    is_sortable,
     rewrite_balanced,
     symmetric_exchange_relations,
     veronese,
@@ -79,7 +80,8 @@ def test_fibers_match_brute_force(scan_pool):
 
 def _spy_searches(monkeypatch) -> list:
     """Log (search, degree) for every fiber white_check searches by shared
-    bases (_unshared) or breadth first (_unreached)."""
+    bases (_unshared) or breadth first (_unreached), and ("theorem", holds)
+    for every sortable verdict it reads."""
     log = []
     for name in ("_unshared", "_unreached"):
         def spy(members, table, name=name, search=getattr(toric, name)):
@@ -87,14 +89,24 @@ def _spy_searches(monkeypatch) -> list:
             return search(members, table)
 
         monkeypatch.setattr(toric, name, spy)
+
+    def sortable(B, real=toric.is_sortable):
+        verdict = real(B)
+        log.append(("theorem", bool(verdict)))
+        return verdict
+
+    monkeypatch.setattr(toric, "is_sortable", sortable)
     return log
 
 
 def _compare_with_oracle(sets, log, moves_of=lambda B: None) -> tuple[int, Counter]:
     """white_check against the oracle's union-find on the moves_of(B), at
     degrees 2, 3 and, up to 12 bases, 4.  Returns the number of failures
-    and, per search, how many verdicts of degree >= 3 it decided, and as
-    (search, "split") how many of them were failures."""
+    and, per route (the sorting theorem or a search), how many verdicts of
+    degree >= 3 it decided, and as (route, "split") how many of them were
+    failures.  The theorem decides exactly where white_check read a sortable
+    verdict that held, and only on sets the oracle finds sortable with every
+    degree-2 fiber connected."""
     failures = 0
     decided = Counter()
     for B in sets:
@@ -105,19 +117,28 @@ def _compare_with_oracle(sets, log, moves_of=lambda B: None) -> tuple[int, Count
             want = oracles.white_check(B.vectors, m, moves)
             assert (None if got else got.witness) == want
             failures += want is not None
-            if m >= 3:
-                (search,) = {name for name, degree in log if degree == m}
-                decided[search] += 1
-                decided[search, "split"] += want is not None
+            if m == 2:
+                degree_two = want
+            else:
+                (route,) = {name for name, degree in log if degree == m} or {"theorem"}
+                assert (route == "theorem") == (("theorem", True) in log)
+                if route == "theorem":
+                    assert degree_two is None and oracles.sortable_first_failure(B.vectors) is None
+                decided[route] += 1
+                decided[route, "split"] += want is not None
     return failures, decided
 
 
 def test_white_check_matches_oracle(scan_pool, monkeypatch):
     """Under every exchange, degree 2 stays connected on the pool's base
-    sets, so each degree above it is decided by shared bases."""
+    sets, so each degree above it is decided by the sorting theorem on the
+    sortable ones and by shared bases on the others."""
     log = _spy_searches(monkeypatch)
-    _, decided = _compare_with_oracle([B for B in scan_pool if is_base_set(B)], log)
-    assert decided["_unshared"] > 100 and decided["_unreached"] == 0
+    base_sets = [B for B in scan_pool if is_base_set(B)]
+    _, decided = _compare_with_oracle(base_sets, log)
+    unsortable = sum(1 + (len(B) <= 12) for B in base_sets if not is_sortable(B))
+    assert decided["theorem"] > 100 and decided["_unreached"] == 0
+    assert decided["_unshared"] == unsortable > 0
 
 
 def test_white_check_lemma_holds_off_base_sets(scan_pool, monkeypatch):
@@ -140,25 +161,34 @@ def test_shared_base_search_names_the_least_unreached_member():
 
 def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
     """Dropping a seeded share of the exchanges forces disconnected fibers;
-    the search and the oracle's union-find, given the same moves, must
-    agree on the verdict and on the witness, both when the degree below
-    is connected (shared bases) and when it is not (breadth first)."""
+    white_check and the oracle's union-find, given the same moves, must
+    agree on the verdict and on the witness, when the sorting theorem
+    decides, when the degree below is connected (shared bases) and when it
+    is not (breadth first).  With the sortable verdict forced to False,
+    shared bases decide every verdict the theorem decided."""
     every_move = polymatroid._symmetric_moves
-    log = _spy_searches(monkeypatch)
     failures = 0
-    decided = Counter()
+    decided, unsorted = Counter(), Counter()
     base_sets = [B for B in scan_pool if is_base_set(B)]
     for rate in (0.6, 0.3):
         def kept(B, pairs=None):
             moves = every_move(B, pairs)
             return [mv for mv in moves if Random(repr((rate, mv[:2]))).random() < rate]
 
-        monkeypatch.setattr(toric, "_symmetric_moves", kept)
-        found, by_search = _compare_with_oracle(base_sets, log, lambda B: [mv[:2] for mv in kept(B)])
-        failures += found
-        decided += by_search
-    assert failures > 100
-    assert decided["_unshared"] > 0 and decided["_unreached", "split"] > 0
+        for forced, tally in ((False, decided), (True, unsorted)):
+            fresh = [BaseSet(B.n, B.vectors, B.modulus) for B in base_sets]
+            with monkeypatch.context() as patch:
+                patch.setattr(toric, "_symmetric_moves", kept)
+                if forced:
+                    patch.setattr(toric, "is_sortable", lambda B: Verdict(False))
+                log = _spy_searches(patch)
+                found, by_route = _compare_with_oracle(fresh, log, lambda B: [mv[:2] for mv in kept(B)])
+            failures += found
+            tally += by_route
+    assert failures > 200
+    assert decided["theorem"] > 100 and decided["_unreached", "split"] > 0
+    assert unsorted["theorem"] == 0 and unsorted["_unreached", "split"] > 0
+    assert unsorted["_unshared"] == decided["_unshared"] + decided["theorem"]
 
 
 def test_white_check_answers_alike_in_any_order(scan_pool, monkeypatch):
