@@ -61,8 +61,8 @@ class BaseSet(VectorSet):
 
     @cached_property
     def _swaps(self):
-        """(sorted bases, row) of :func:`_swap_rows`, built once per base
-        set and read by every exchange scan on it."""
+        """(sorted bases, row, steps) of :func:`_swap_rows`, built once per
+        base set and read by every exchange scan on it."""
         return _swap_rows(self.vectors)
 
     @cached_property
@@ -266,17 +266,20 @@ def _proven(B: BaseSet) -> BaseSet:
 
 
 def _swap_rows(vs: frozenset):
-    """(ordered, row) with ordered the sorted bases and row(a, i) the
+    """(ordered, row, steps) with ordered the sorted bases, row(a, i) the
     bitmask of the 0-based j with ordered[a] - e_i + e_j in vs, for
-    ordered[a](i) > 0.
+    ordered[a](i) > 0, and steps[a][i][j] the index of that vector in
+    ordered, recorded when row(a, i) is built.
 
     All bases agree off the coordinates on which some two of them differ,
     so only those take part in a swap.  A row is built when first read,
     so a scan that stops early tests only the rows it reached.
     """
     ordered = sorted_vectors(vs)
+    index = {v: k for k, v in enumerate(ordered)}
     vary = [k for k, col in enumerate(zip(*ordered)) if min(col) != max(col)]
     rows = [{} for _ in ordered]
+    steps = [{} for _ in ordered]
 
     def row(a: int, i: int) -> int:
         mask = rows[a].get(i)
@@ -284,16 +287,18 @@ def _swap_rows(vs: frozenset):
             w = list(ordered[a])
             w[i] -= 1
             mask = 0
+            found = steps[a][i] = {}
             for j in vary:
                 if j != i:
                     w[j] += 1
-                    if tuple(w) in vs:
+                    if (t := tuple(w)) in vs:
                         mask |= 1 << j
+                        found[j] = index[t]
                     w[j] -= 1
             rows[a][i] = mask
         return mask
 
-    return ordered, row
+    return ordered, row, steps
 
 
 def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
@@ -324,7 +329,7 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     row(u, i) and up with i in row(v, j), witness (u, v, i).  Witness
     indices are 1-based.
     """
-    ordered, row = B._swaps
+    ordered, row, _ = B._swaps
     for a, u in enumerate(ordered):
         for b, v in enumerate(ordered):
             if a == b:
@@ -357,30 +362,25 @@ def _sort_failure(B: BaseSet) -> Verdict:
     return Verdict(bad is None, bad)
 
 
-def _symmetric_moves(B: BaseSet, pairs: Iterable | None = None) -> Iterator[tuple]:
-    """Every nontrivial symmetric exchange of B, once.
-
-    Yields ((u, v), (u', v'), i, j) for bases u < v and i, j with u(i) >
-    v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j + e_i in B, and
-    {u', v'} != {u, v} (1-based i, j; the new pair sorted), in the order
-    of u, v, i and j.  The exchange on v at i' with u at j' is this one
-    at (j', i'), so pairs u < v reach every exchange.  With pairs, only
-    the (u, v) = (sorted(B)[a], sorted(B)[b]) of its index pairs a < b.
-    u' and v' are built without :func:`core.exchange_step`, whose checks
-    i in down and j in up always pass.
+def _symmetric_moves(B: BaseSet) -> Iterator[tuple]:
+    """Every nontrivial symmetric exchange of B, once, as index pairs into
+    sorted(B): ((a, b), (c, d), i, j) for a < b, c <= d, (c, d) != (a, b)
+    and 1-based i, j with u(i) > v(i), u(j) < v(j), u' = u - e_i + e_j and
+    v' = v - e_j + e_i, where u, v, u', v' are the bases at a, b, c, d; in
+    the order of a, b, i and j.  The exchange on v at i' with u at j' is
+    this one at (j', i'), so pairs a < b reach every exchange.  c and d are
+    read off the swap rows' steps, so no vector is built.
     """
-    ordered, row = B._swaps
-    for a, b in combinations(range(len(ordered)), 2) if pairs is None else pairs:
-        u, v = ordered[a], ordered[b]
-        down, up = _deficits(u, v)
+    ordered, row, steps = B._swaps
+    for a, b in combinations(range(len(ordered)), 2):
+        down, up = _deficits(ordered[a], ordered[b])
         for i in down:
             for j in set_bits(row(a, i) & up):
                 if row(b, j) >> i & 1:
-                    x, y = list(u), list(v)
-                    x[i], x[j], y[i], y[j] = u[i] - 1, u[j] + 1, v[i] + 1, v[j] - 1
-                    pair = (tuple(x), tuple(y)) if x < y else (tuple(y), tuple(x))
-                    if pair != (u, v):
-                        yield (u, v), pair, i + 1, j + 1
+                    c, d = steps[a][i][j], steps[b][j][i]
+                    pair = (c, d) if c < d else (d, c)
+                    if pair != (a, b):
+                        yield (a, b), pair, i + 1, j + 1
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:

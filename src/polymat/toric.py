@@ -7,8 +7,10 @@ that the symmetric exchange relations generate the toric ideal up to
 that degree; a disconnected one is a candidate counterexample, never a
 theorem either way.  Multisets are ascending tuples of indices into the
 sorted bases, grouped by a packed sum that orders as the vector sums
-do; the exchanges go once per base set into an undirected table by
-index pair, kept on it with the move list and the degrees searched.
+do; the exchanges, index pairs read off the swap rows, go once per base
+set into an undirected table by index pair, kept on it with the move
+list and the degrees searched.  Index pairs order as their vectors do, so
+relations are sorted by index and each one's vectors are built once.
 
 Degree 2 is searched breadth first.  Above it two results do the work,
 both for any move set.  A sortable base set has a quadratic Groebner
@@ -48,12 +50,6 @@ class ExchangeRelation:
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        ls = tuple(map(sum, zip(*self.left)))
-        rs = tuple(map(sum, zip(*self.right)))
-        if ls != rs:
-            raise ValueError(f"relation sides have different sums: {ls} vs {rs}")
-
 
 @dataclass(frozen=True)
 class Fiber:
@@ -75,12 +71,17 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
 
     Relations are identified up to swapping within either unordered
     pair and up to flipping the two sides; relations whose sides agree
-    as multisets are dropped.
+    as multisets are dropped.  Moves are deduplicated and sorted as index
+    pairs, and each relation's vectors are built once, from its first move.
     """
+    moves, ordered, _, _ = _move_entry(B)
     out: dict = {}
-    for left, right, i, j in _move_entry(B)[0]:
-        out.setdefault(tuple(sorted((left, right))), (left, right, i, j))
-    return tuple(ExchangeRelation(*out[k]) for k in sorted(out))
+    for left, right, i, j in moves:
+        out.setdefault((left, right) if left < right else (right, left), (left, right, i, j))
+    return tuple(
+        ExchangeRelation((ordered[a], ordered[b]), (ordered[c], ordered[d]), i, j)
+        for (a, b), (c, d), i, j in map(out.__getitem__, sorted(out))
+    )
 
 
 def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None:
@@ -121,12 +122,11 @@ def fibers(B: BaseSet, m: int, *, max_base_size: int = 64, max_degree: int = 4) 
     return [Fiber(m, tuple(map(sum, zip(*group[0]))), group) for group in groups]
 
 
-def _move_table(moves, index: dict) -> dict:
-    """Moves as index pairs into sorted(B), both ways: table[(a, b)] holds
-    each (c, d) one exchange from (a, b), every pair ascending."""
+def _move_table(moves) -> dict:
+    """Index-pair moves both ways: table[(a, b)] holds each (c, d) one
+    exchange from (a, b), every pair ascending."""
     table: dict[tuple[int, int], set] = {}
-    for (u, v), (x, y), _, _ in moves:
-        left, right = (index[u], index[v]), (index[x], index[y])
+    for left, right, _, _ in moves:
         table.setdefault(left, set()).add(right)
         table.setdefault(right, set()).add(left)
     return table
@@ -142,16 +142,14 @@ def _adjacent(member: tuple[int, ...], table: dict):
 
 def fiber_graph(B: BaseSet, fiber: Fiber) -> FiberGraph:
     """Explicit vertices and exchange-move edges of one fiber, from the
-    exchanges of the pairs inside its members alone.  Raises ValueError
-    when a member holds a vector outside B or the fiber lacks a multiset
-    one exchange from a member."""
-    ordered = sorted_vectors(B.vectors)
+    move table B keeps.  Raises ValueError when B is not a base set, a
+    member holds a vector outside B or the fiber lacks a multiset one
+    exchange from a member."""
+    _, ordered, table, _ = _move_entry(B)
     index = {v: k for k, v in enumerate(ordered)}
     if not all(v in index for mem in fiber.members for v in mem):
         raise ValueError("fiber member holds a vector outside the base set")
     members = {tuple(index[v] for v in mem) for mem in fiber.members}
-    pairs = {(a, b) for mem in members for a, b in combinations(mem, 2) if a != b}
-    table = _move_table(_symmetric_moves(B, pairs), index)
     links = set()
     for mem in members:
         for other in _adjacent(mem, table):
@@ -196,16 +194,15 @@ def _unshared(members: list, table: dict) -> tuple | None:
 
 
 def _move_entry(B: BaseSet) -> tuple:
-    """(moves, sorted bases, index table, :func:`_first_split` by (degree,
+    """(moves, sorted bases, move table, :func:`_first_split` by (degree,
     search)) of a proved base set B, kept on B once per move generator."""
     verdict = is_base_set(B)
     if not verdict:
         raise ValueError(f"not a valid base set: witness {verdict.witness}")
     entry = B._moves.get(_symmetric_moves)
     if entry is None:
-        moves, ordered = list(_symmetric_moves(B)), B._swaps[0]
-        table = _move_table(moves, {v: k for k, v in enumerate(ordered)})
-        entry = B._moves[_symmetric_moves] = (moves, ordered, table, {})
+        moves = list(_symmetric_moves(B))
+        entry = B._moves[_symmetric_moves] = (moves, B._swaps[0], _move_table(moves), {})
     return entry
 
 

@@ -311,13 +311,26 @@ def fibers(vectors, m):
     return [(total, tuple(sorted(grouped[total]))) for total in sorted(grouped)]
 
 
+def symmetric_moves(vectors):
+    """Every symmetric exchange ((u, v), (u', v'), i, j) with u < v, 1-based
+    i, j with u(i) > v(i) and u(j) < v(j), u' = u - e_i + e_j and v' = v -
+    e_j + e_i in the set, and the sorted new pair other than (u, v); in the
+    order of u, v, i and j."""
+    vs = set(vectors)
+    out = []
+    for u, v in combinations(sorted(vs), 2):
+        for i, j in product(range(len(u)), repeat=2):
+            if u[i] > v[i] and u[j] < v[j]:
+                pair = tuple(sorted((swap(u, i, j), swap(v, j, i))))
+                if vs.issuperset(pair) and pair != (u, v):
+                    out.append(((u, v), pair, i + 1, j + 1))
+    return out
+
+
 def pair_moves(vectors):
     """Every move ((u, v), (u', v')) with u < v and {u', v'} a symmetric
-    swap of {u, v} other than itself."""
-    out = []
-    for u, v in combinations(sorted(set(vectors)), 2):
-        out += [((u, v), right) for right in sorted(symmetric_swaps(vectors, u, v)) if right != (u, v)]
-    return out
+    swap of {u, v} other than itself, once."""
+    return sorted({move[:2] for move in symmetric_moves(vectors)})
 
 
 class _DSU:

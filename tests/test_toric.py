@@ -61,6 +61,7 @@ def test_relations_and_fiber_edges_match_brute_force(scan_pool):
             i, j = r.i - 1, r.j - 1
             assert u < v and u[i] > v[i] and u[j] < v[j]
             assert tuple(sorted((oracles.swap(u, i, j), oracles.swap(v, j, i)))) == r.right
+            assert tuple(map(sum, zip(*r.left))) == tuple(map(sum, zip(*r.right)))
         if len(B) <= 12:
             for m in (2, 3):
                 for f in fibers(B, m):
@@ -68,6 +69,23 @@ def test_relations_and_fiber_edges_match_brute_force(scan_pool):
                     assert set(graph.edges) == oracles.fiber_edges(B.vectors, f.members)
                     checked += len(graph.edges)
     assert checked > 0
+
+
+def _vector_move(ordered, move) -> tuple:
+    """((u, v), (u', v')) of a move whose pairs index into ordered."""
+    return tuple(tuple(ordered[k] for k in pair) for pair in move[:2])
+
+
+def test_index_moves_match_the_vector_oracle(scan_pool):
+    """The moves, index pairs into sorted(B), name the oracle's vector
+    moves with the same i and j, in its order, on every set of the pool."""
+    moved = 0
+    for B in scan_pool:
+        ordered = sorted(B.vectors)
+        got = [_vector_move(ordered, mv) + mv[2:] for mv in polymatroid._symmetric_moves(B)]
+        assert got == oracles.symmetric_moves(B.vectors)
+        moved += len(got)
+    assert moved > 0
 
 
 def test_fibers_match_brute_force(scan_pool):
@@ -171,9 +189,12 @@ def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
     decided, unsorted = Counter(), Counter()
     base_sets = [B for B in scan_pool if is_base_set(B)]
     for rate in (0.6, 0.3):
-        def kept(B, pairs=None):
-            moves = every_move(B, pairs)
-            return [mv for mv in moves if Random(repr((rate, mv[:2]))).random() < rate]
+        def kept(B):
+            ordered = sorted(B.vectors)
+            return [
+                mv for mv in every_move(B)
+                if Random(repr((rate, _vector_move(ordered, mv)))).random() < rate
+            ]
 
         for forced, tally in ((False, decided), (True, unsorted)):
             fresh = [BaseSet(B.n, B.vectors, B.modulus) for B in base_sets]
@@ -182,7 +203,9 @@ def test_white_check_witness_under_thinned_moves(scan_pool, monkeypatch):
                 if forced:
                     patch.setattr(toric, "is_sortable", lambda B: Verdict(False))
                 log = _spy_searches(patch)
-                found, by_route = _compare_with_oracle(fresh, log, lambda B: [mv[:2] for mv in kept(B)])
+                found, by_route = _compare_with_oracle(
+                    fresh, log, lambda B: [_vector_move(sorted(B.vectors), mv) for mv in kept(B)]
+                )
             failures += found
             tally += by_route
     assert failures > 200
@@ -205,7 +228,7 @@ def test_white_check_answers_alike_in_any_order(scan_pool, monkeypatch):
             assert (None if got else got.witness) == oracles.white_check(B.vectors, m)
         thinned = BaseSet(B.n, B.vectors, B.modulus)
         with monkeypatch.context() as patch:  # no moves at all, then every move
-            patch.setattr(toric, "_symmetric_moves", lambda B, pairs=None: iter(()))
+            patch.setattr(toric, "_symmetric_moves", lambda B: iter(()))
             unmoved += not white_check(thinned, 4)
         copies = [BaseSet(B.n, B.vectors, B.modulus) for _ in orders]
         for C, order in zip(copies + [B, thinned], orders + ((2, 3, 4), (2, 3, 4))):
@@ -236,6 +259,11 @@ def test_fiber_graph_refuses_a_partial_fiber(four_bases):
     with pytest.raises(ValueError, match="outside the base set"):
         outside = (((1, 1, 1, 1), (1, 1, 1, 1)), ((2, 0, 2, 0), (0, 2, 0, 2)))
         fiber_graph(four_bases, Fiber(2, (2, 2, 2, 2), outside))
+
+
+def test_fiber_graph_refuses_a_set_that_is_not_a_base_set(stable_five):
+    with pytest.raises(ValueError, match="not a valid base set"):
+        fiber_graph(stable_five, fibers(stable_five, 2)[0])
 
 
 def test_fibers_degree_one(borel_211):
