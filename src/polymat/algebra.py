@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Iterator
 
 from .core import (
     SizeCapExceeded,
+    Vector,
     Verdict,
     as_vector,
     box_count,
@@ -37,6 +37,7 @@ from .core import (
     packer,
     subset_size,
     subset_sums,
+    sum_levels,
     unit,
 )
 from .intlinalg import affine_rank, in_lattice, in_scaled_hull, lattice_basis
@@ -122,25 +123,15 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
 
     With a rank function the values are counted by rank dilation; the
     size cap bounds the prefixes each count visits.  Without one the
-    t-fold sumset is built level by level.
+    t-fold sumset is built level by level, refused while it is built.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     if G.rank is not None:
         cap = max_points()
         return [_dilated_count(G.rank, t, cap) for t in range(t_max + 1)]
-    _, packed = packer(G.gens, t_max)
-    return [1] + [len(level) for level in _sumset_levels(packed, t_max, "Hilbert function level")]
-
-
-def _sumset_levels(packed: list, t_max: int, what: str) -> Iterator[set]:
-    """The t-fold sums of the packed generators for t = 1 .. t_max, one
-    set per degree, each checked against the size cap as it is built."""
-    level = {0}
-    for _ in range(t_max):
-        level = {s + g for s in level for g in packed}
-        check_cap(len(level), what)
-        yield level
+    _, _, packed = packer(G.gens, t_max)
+    return [1] + [len(level) for level in sum_levels([packed] * t_max, "Hilbert function level")]
 
 
 def _dilated_count(rho: RankFunction, t: int, cap: int) -> int:
@@ -233,9 +224,9 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
     gens = sorted(G.gens)
     mods = {modulus(g) for g in gens}
     shared = mods.pop() if len(mods) == 1 else None
-    pack, packed = packer(gens, t_max)
+    pack, _, packed = packer(gens, t_max)
     checked = 0
-    for t, level in enumerate(_sumset_levels(packed, t_max, "normality level"), 1):
+    for t, level in enumerate(sum_levels([packed] * t_max, "normality level"), 1):
         lo = [t * min(g[c] for g in gens) for c in range(G.n)]
         hi = [t * max(g[c] for g in gens) for c in range(G.n)]
         anchor = tuple(t * a for a in G.origin)

@@ -11,7 +11,6 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .core import (
-    Vector,
     Verdict,
     as_vector,
     box_count,
@@ -19,17 +18,21 @@ from .core import (
     check_cap,
     exchange_step,
     modulus,
+    packer,
     subset_elements,
     subset_mask,
     subsets,
+    sum_levels,
+    unit,
 )
 from .polymatroid import (
     BaseSet,
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
+    _package,
+    _points_within,
     _proven,
-    polymatroid_from_rank,
     rank_function,
 )
 
@@ -116,10 +119,12 @@ def sublattice(n: int, members: Iterable[int]) -> Sublattice:
 def sublattice_polymatroid(L: Sublattice, mu: Mapping[int, int]) -> DiscretePolymatroid:
     """Points obeying u(A) <= mu(A) for A in the sublattice only.
 
-    mu must be nondecreasing and submodular on the sublattice with
-    mu(empty) = 0; the full rank function is recovered as the minimum
-    of mu over enclosing members, a table of |L| * 2^n steps refused
-    before it is built when it passes the size cap.
+    mu must be nondecreasing and submodular on L with mu(empty) = 0.  The
+    rank function rho(A) = min mu(X) over members X enclosing A (|L| * 2^n
+    steps, refused past the size cap before they are taken) needs no scan:
+    for minimisers X of A and Y of B, the members X | Y and X & Y enclose
+    A | B and A & B, so rho(A | B) + rho(A & B) <= mu(X | Y) + mu(X & Y) <=
+    mu(X) + mu(Y); a member enclosing B encloses each A in B; rho(empty) = 0.
     """
     if set(mu) != set(L.members):
         raise ValueError("mu must be defined exactly on the sublattice members")
@@ -137,12 +142,9 @@ def sublattice_polymatroid(L: Sublattice, mu: Mapping[int, int]) -> DiscretePoly
                 raise ValueError(
                     f"mu is not submodular at {subset_elements(a)}, {subset_elements(b)}"
                 )
-    members = sorted(L.members)
-    check_cap(len(members) << L.n, "sublattice rank table")
-    values = []
-    for mask in subsets(L.n):
-        values.append(min(mu[a] for a in members if a & mask == mask))
-    return polymatroid_from_rank(RankFunction(L.n, tuple(values)))
+    check_cap(len(L.members) << L.n, "sublattice rank table")
+    values = tuple(min(mu[a] for a in L.members if a & mask == mask) for mask in subsets(L.n))
+    return _package(L.n, _points_within(values, L.n))
 
 
 # --- transversal polymatroids -------------------------------------------------
@@ -172,20 +174,16 @@ def transversal_presentation(n: int, family: Iterable[Iterable[int]]) -> Transve
 def transversal(pres: TransversalPresentation) -> tuple[BaseSet, RankFunction]:
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from A_k, plus the
     counting rank function rho(X) = #{k : A_k meets X}, which the paper
-    proves is the rank function of those bases, a proven base set.  The
-    table of d * 2^n steps is refused before any work past the size cap.
-    """
+    proves is the rank function of those bases, a proven base set.  Past
+    the size cap, the table of d * 2^n steps is refused before any work
+    and the bases, sums of one unit vector per subset, while they are built."""
     n, family = pres.n, pres.family
     check_cap(len(family) << n, "transversal rank table")
-    current: set[Vector] = {(0,) * n}
-    for mask in family:
-        nxt = set()
-        for v in current:
-            for i in subset_elements(mask):
-                nxt.add(v[: i - 1] + (v[i - 1] + 1,) + v[i:])
-        check_cap(len(nxt), "transversal enumeration")
-        current = nxt
-    B = _proven(BaseSet(n, frozenset(current), len(family)))
+    _, unpack, units = packer([unit(n, i) for i in range(1, n + 1)], len(family))
+    summands = [[units[-i] for i in subset_elements(mask)] for mask in family]  # e_n sorts first
+    for level in sum_levels(summands, "transversal enumeration"):
+        pass
+    B = _proven(BaseSet(n, frozenset(map(unpack, level)), len(family)))
     values = tuple(sum(1 for mask in family if mask & x) for x in subsets(n))
     return B, RankFunction(n, values)
 

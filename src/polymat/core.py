@@ -155,18 +155,32 @@ def packer(vectors, t_max: int):
     entry, so with a radix above that bound coordinatewise addition
     becomes plain integer addition.  The first coordinate is the most
     significant, so packed sums order as their vectors do.  Returns the
-    packing function and the packed vectors in sorted order.
+    packing function, its inverse and the packed vectors in sorted order.
     """
-    max_entry = max((max(g) for g in vectors), default=0)
-    shift = max(1, t_max * max_entry).bit_length()
+    shift = max(1, t_max * max(map(max, vectors))).bit_length()
+    field, places = (1 << shift) - 1, range(shift * len(min(vectors)) - shift, -1, -shift)
 
     def pack(v) -> int:
-        acc = 0
-        for e in v:
-            acc = (acc << shift) | e
-        return acc
+        return sum(e << p for e, p in zip(v, places))
 
-    return pack, [pack(g) for g in sorted(vectors)]
+    def unpack(x: int) -> Vector:
+        return tuple(x >> p & field for p in places)
+
+    return pack, unpack, [pack(g) for g in sorted(vectors)]
+
+
+def sum_levels(summands: list[list[int]], what: str) -> Iterator[set]:
+    """Sums of one member of each of the first k packed summands, one set per
+    k, refused as soon as it passes the size cap; only the last two are kept."""
+    cap, level = max_points(), {0}
+    for packed in summands:
+        nxt: set = set()
+        for s in level:
+            for g in packed:
+                nxt.add(s + g)
+            if len(nxt) > cap:
+                raise SizeCapExceeded(f"{what} needs more than {cap} points, cap is {cap}")
+        yield (level := nxt)
 
 
 def box_points(lo: list[int], hi: list[int], total: int | None = None) -> Iterator[Vector]:

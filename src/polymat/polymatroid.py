@@ -28,11 +28,12 @@ from .core import (
     deal,
     max_points,
     modulus,
+    packer,
     set_bits,
     sorted_vectors,
     subset_sums,
     subsets,
-    zero,
+    sum_levels,
 )
 
 
@@ -643,22 +644,18 @@ def lift(P: DiscretePolymatroid) -> BaseSet:
 
 def polymatroid_sum(*polymatroids: DiscretePolymatroid) -> DiscretePolymatroid:
     """Pointwise sum of polymatroids, a discrete polymatroid whose rank
-    function is the sum of theirs (as the paper proves).  A partial
-    sum is refused while it is built, at most |P| points past the cap."""
+    function is the sum of theirs (as the paper proves).  Points lie below
+    bases, which set the packing radix; a partial sum is refused while it
+    is built, at most one summand's points past the cap."""
     if not polymatroids:
         raise ValueError("polymatroid sum needs at least one summand")
     ns = {P.n for P in polymatroids}
     if len(ns) > 1:
         raise ValueError(f"dimension mismatch across summands: {sorted(ns)}")
-    cap, acc = max_points(), {zero(ns.pop())}
-    for P in polymatroids:
-        nxt: set = set()
-        for s in acc:
-            nxt.update(tuple(a + b for a, b in zip(s, p)) for p in P.points)
-            if len(nxt) > cap:
-                raise SizeCapExceeded(f"polymatroid sum needs more than {cap} points, cap is {cap}")
-        acc = nxt
-    return _package(polymatroids[0].n, frozenset(acc))
+    pack, unpack, _ = packer([u for P in polymatroids for u in P.bases], len(polymatroids))
+    for level in sum_levels([list(map(pack, P.points)) for P in polymatroids], "polymatroid sum"):
+        pass
+    return _package(ns.pop(), frozenset(map(unpack, level)))
 
 
 def greedy_vertex(rho: RankFunction, k: int, pi: tuple[int, ...]) -> Vector:

@@ -102,7 +102,7 @@ def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None
 def _fiber_groups(ordered: tuple, m: int) -> list[list[tuple[int, ...]]]:
     """The degree-m multisets of ordered as ascending index tuples, grouped
     by vector sum; groups in order of their sums, members in order."""
-    _, packed = packer(ordered, m)
+    _, _, packed = packer(ordered, m)
     grouped: dict[int, list] = {}
     combos = combinations_with_replacement(range(len(ordered)), m)
     for combo, key in zip(combos, map(sum, combinations_with_replacement(packed, m))):

@@ -638,3 +638,14 @@ def borel_closure(u, cap=None):
         if cap is not None and len(seen) > cap:
             return None
     return seen
+
+
+def minkowski_levels(summands, n):
+    """The sums of one member of each of the first k summands, k = 1, 2, ...,
+    one set of tuples per k: the loop that polymatroid_sum, transversal and
+    the Hilbert and normality sumsets each ran before they shared the packed
+    kernel core.sum_levels."""
+    level = {(0,) * n}
+    for summand in summands:
+        level = {tuple(a + b for a, b in zip(s, g)) for s in level for g in summand}
+        yield level

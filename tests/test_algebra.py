@@ -1,5 +1,6 @@
 from itertools import product
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,31 @@ def test_hilbert_cap_bounds_the_count(monkeypatch):
         hilbert_values(G, 3)
 
 
+def test_hilbert_values_match_the_tuple_sumset():
+    # generators with no rank function, against the t-fold tuple sumsets the
+    # packed kernel replaced
+    rng = Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        G = graded_generators(gens)
+        assert G.rank is None
+        t_max = rng.randint(0, 4)
+        sizes = [len(level) for level in oracles.minkowski_levels([gens] * t_max, n)]
+        assert hilbert_values(G, t_max) == [1] + sizes, sorted(gens)
+
+
+def test_hilbert_level_cap_boundary(monkeypatch):
+    # H = 1, 4, 9, 16: the degree-3 level holds 16 sums
+    G = graded_generators([(2, 0, 1), (0, 1, 2), (1, 1, 1), (3, 0, 0)])
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "16")
+    assert hilbert_values(G, 3) == [1, 4, 9, 16]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "15")
+    message = "Hilbert function level needs more than 15 points, cap is 15"
+    with pytest.raises(SizeCapExceeded, match=message):
+        hilbert_values(G, 3)
+
+
 def test_hilbert_function_counts_one_degree(monkeypatch):
     import polymat.algebra as algebra
 
@@ -304,6 +330,27 @@ def test_normality_cap_is_checked_before_each_box(monkeypatch):
         normality_check(G, 2)
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "13")
     assert normality_check(G, 2)
+
+
+def test_normality_level_cap_boundary(monkeypatch):
+    # the generators fill their degree-1 box, so at t_max = 1 the level of 3
+    # sums and the box of 3 points meet the same cap
+    G = graded_generators([(2, 0), (1, 1), (0, 2)])
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "3")
+    assert normality_check(G, 1)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "2")
+    with pytest.raises(SizeCapExceeded, match="normality level needs more than 2 points, cap is 2"):
+        normality_check(G, 1)
+    # at t_max = 2 the level holds 5 sums, and the boxes 3 + 5 points in all:
+    # a cap of 5 admits the level and refuses the boxes, 4 refuses the level
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "8")
+    assert normality_check(G, 2)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "5")
+    with pytest.raises(SizeCapExceeded, match="normality box enumeration needs 8 points, cap is 5"):
+        normality_check(G, 2)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "4")
+    with pytest.raises(SizeCapExceeded, match="normality level needs more than 4 points, cap is 4"):
+        normality_check(G, 2)
 
 
 def test_normality_rejects_bad_tmax(borel_211):

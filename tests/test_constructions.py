@@ -1,4 +1,5 @@
 from itertools import product
+from operator import and_, or_
 from random import Random
 
 import pytest
@@ -22,6 +23,7 @@ from polymat import (
     polymatroid_from_rank,
     polymatroid_sum,
     principal_borel,
+    random_rank_function,
     rank_function,
     sublattice,
     sublattice_polymatroid,
@@ -215,6 +217,31 @@ def test_sublattice_polymatroid_rejects_bad_mu():
         sublattice_polymatroid(L, {0b00: 1, 0b01: 1, 0b10: 1, 0b11: 1})
 
 
+def test_sublattice_rank_is_a_rank_function_by_theorem():
+    # random rank functions restricted to random sublattices, closed from
+    # random masks under union and intersection; the table min mu(X) over
+    # enclosing members must pass the axiom check, and the points must be
+    # those a box scan finds under mu on the sublattice
+    for seed in range(60):
+        rng = Random(seed)
+        n = rng.randint(2, 5)
+        mu = random_rank_function(rng, n, 4).values
+        members = {0, (1 << n) - 1} | {rng.randrange(1 << n) for _ in range(rng.randint(1, 5))}
+        while any(a | b not in members or a & b not in members for a in members for b in members):
+            members |= {op(a, b) for a in members for b in members for op in (or_, and_)}
+        L = sublattice(n, members)
+        P = sublattice_polymatroid(L, {m: mu[m] for m in members})
+        table = tuple(min(mu[m] for m in members if m & x == x) for x in range(1 << n))
+        assert validate_rank_function(RankFunction(n, table)), (n, sorted(members))
+        assert rank_function(P.base_set).values == table
+        inside = {
+            u
+            for u in product(range(mu[-1] + 1), repeat=n)
+            if all(sum(u[i] for i in range(n) if m >> i & 1) <= mu[m] for m in members)
+        }
+        assert P.points == inside, (n, sorted(members))
+
+
 # --- transversal polymatroids ------------------------------------------------------
 
 
@@ -255,11 +282,32 @@ def test_transversal_rank_is_the_rank_of_its_bases(monkeypatch):
         n = rng.randint(2, 7)
         fam = tuple(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 4)))
         B, rho = transversal(TransversalPresentation(n, fam))
+        assert B.vectors == oracles.transversal_bases(n, fam), (n, fam)
         assert rank_function(B).values == rho.values, (n, fam)
     # rank_function's own table on [13] needs a raised cap
     monkeypatch.setenv("POLYMAT_MAX_POINTS", str(4 * 10**6))
     B, rho = transversal(transversal_presentation(13, [[1, 2, 13], [5, 7], [2, 13], range(1, 14)]))
     assert rank_function(B).values == rho.values
+
+
+def test_transversal_cap_boundary(monkeypatch):
+    # ten copies of [4]: C(13, 3) = 286 bases, past the rank table's 10 * 2^4 = 160
+    pres = transversal_presentation(4, [[1, 2, 3, 4]] * 10)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "286")
+    assert len(transversal(pres)[0].vectors) == 286
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "285")
+    message = "transversal enumeration needs more than 285 points, cap is 285"
+    with pytest.raises(SizeCapExceeded, match=message):
+        transversal(pres)
+
+
+def test_transversal_is_refused_while_it_is_built(monkeypatch):
+    # 24 copies of [12]: the rank table's 24 * 2^12 = 98,304 steps pass the
+    # cap, and the ninth level of partial bases, C(20, 11) = 167,960, does not
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "100000")
+    message = "transversal enumeration needs more than 100000 points, cap is 100000"
+    with pytest.raises(SizeCapExceeded, match=message):
+        transversal(transversal_presentation(12, [range(1, 13)] * 24))
 
 
 def test_veronese_and_transversal_bases_carry_a_verdict_that_a_fresh_proof_confirms():

@@ -1,3 +1,5 @@
+import inspect
+import typing
 from itertools import product
 
 import pytest
@@ -19,7 +21,8 @@ from polymat import (
     unit,
     zero,
 )
-from polymat.core import box_count, box_points, check_cap, subset_sums
+from polymat.core import box_count, box_points, check_cap, packer, subset_sums, sum_levels
+from test_polymatroid import _Counted
 
 vectors = st.lists(st.integers(0, 6), min_size=1, max_size=6).map(tuple)
 
@@ -196,3 +199,38 @@ def test_max_points_env_override(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         check_cap(124, "test")
     check_cap(123, "test")
+
+
+def test_packer_round_trips_sums():
+    vecs = [(0, 3, 1), (2, 0, 0), (1, 1, 1), (0, 0, 0)]
+    pack, unpack, packed = packer(vecs, 3)
+    assert packed == sorted(packed) == [pack(v) for v in sorted(vecs)]
+    for u, v, w in product(vecs, repeat=3):
+        assert unpack(pack(u) + pack(v) + pack(w)) == tuple(a + b + c for a, b, c in zip(u, v, w))
+
+
+def test_sum_levels_refuses_a_level_while_it_is_built(monkeypatch):
+    # levels of 4 and 16 sums; a cap of 5 is passed by the second of the four
+    # rows that build the second level
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "16")
+    assert [len(level) for level in sum_levels([[0, 10, 20, 30], [0, 1, 2, 3]], "x")] == [4, 16]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "5")
+    second = _Counted([0, 1, 2, 3])
+    levels = sum_levels([[0, 10, 20, 30], second], "test sum")
+    assert len(next(levels)) == 4
+    with pytest.raises(SizeCapExceeded, match="test sum needs more than 5 points, cap is 5"):
+        next(levels)
+    assert second.passes == 2
+
+
+def test_type_hints_resolve_for_every_export():
+    import polymat
+
+    exported = [getattr(polymat, name) for name in dir(polymat)]
+    checked = 0
+    for obj in exported:
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            if obj.__module__.startswith("polymat"):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked > 80

@@ -357,6 +357,25 @@ def test_polymatroid_sum_rank_functions_add():
     assert lhs == tuple(a + b for a, b in zip(rho_a, rho_b))
 
 
+def test_polymatroid_sum_matches_the_tuple_loop(instance_pool):
+    # seeded pairs and triples of pool members on a common ground set,
+    # against the tuple loop the packed kernel replaced
+    by_n = {}
+    for _, P in instance_pool:
+        if len(P.points) <= 60:
+            by_n.setdefault(P.n, []).append(P)
+    rng = Random(20)
+    for trial in range(120):
+        members = by_n[rng.choice(sorted(by_n))]
+        summands = [rng.choice(members) for _ in range(2 + trial % 2)]
+        for expected in oracles.minkowski_levels([P.points for P in summands], summands[0].n):
+            pass
+        total = polymatroid_sum(*summands)
+        assert total.points == expected, [sorted(P.bases) for P in summands]
+        assert total.rank == sum(P.rank for P in summands)
+        assert total.bases == {u for u in expected if sum(u) == total.rank}
+
+
 def test_greedy_vertex_examples():
     rho = RankFunction(2, (0, 2, 2, 3))
     assert greedy_vertex(rho, 2, (1, 2)) == (2, 1)
