@@ -21,7 +21,7 @@ Minkowski sumset serves only generators that carry no rank function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 
 from .core import (
@@ -58,7 +58,9 @@ from .polymatroid import (
 @dataclass(frozen=True)
 class GradedGenerators:
     """Degree-one generators of an affine semigroup, with their
-    difference lattice (integer echelon basis) and Krull dimension."""
+    difference lattice (integer echelon basis) and Krull dimension: by the
+    theorems of :func:`base_ring_generators` and :func:`ehrhart_generators`
+    for a proved rank, else by Hermite insertion."""
 
     n: int
     gens: frozenset
@@ -93,29 +95,44 @@ def graded_generators(vectors) -> GradedGenerators:
 def ehrhart_generators(P: DiscretePolymatroid | VectorSet) -> GradedGenerators:
     """Generators (u, 1) for every point u of P.
 
-    For a polymatroid whose rank table is cheap the rank is lifted to
-    [n+1]: rho(A) on subsets of [n] and rank(P) on every subset holding
-    n+1.  The integer bases of its t-th dilate are the vectors
-    (u, t*rank(P) - |u|) for the points u of t*rho, one per t-fold sum
-    of generators.
+    For a polymatroid the origin is (0, ..., 0, 1).  P is downward closed,
+    so each u in P is a sum of e_i in P, and those e_i span the lattice.
+    Where the rank table is cheap the rank is lifted to [n+1]: rho(A) on
+    subsets of [n] and rank(P) on every subset holding n+1.  The integer
+    bases of its t-th dilate are the vectors (u, t*rank(P) - |u|) for the
+    points u of t*rho, one per t-fold sum of generators.
     """
     if not isinstance(P, DiscretePolymatroid):
         return graded_generators(u + (1,) for u in P.vectors)
-    G = graded_generators(u + (1,) for u in P.points)
-    if not rank_table_fits(P.n + 1, len(P.bases)):
-        return G
-    rho = rank_function(P.base_set)
-    return replace(G, _rank=RankFunction(P.n + 1, rho.values + (P.rank,) * (1 << P.n)))
+    n, gens = P.n, frozenset(u + (1,) for u in P.points)
+    lattice = tuple(unit(n + 1, i) for i in range(1, n + 1) if unit(n, i) in P.points)
+    rank = None
+    if rank_table_fits(n + 1, len(P.bases)):
+        rank = RankFunction(n + 1, rank_function(P.base_set).values + (P.rank,) * (1 << n))
+    return GradedGenerators(n + 1, gens, unit(n + 1, n + 1), lattice, len(lattice) + 1, rank)
 
 
 def base_ring_generators(B: BaseSet) -> GradedGenerators:
     """The bases themselves; their equal modulus plays the role of the
-    homogenizing coordinate.  The rank is kept when
-    :func:`base_set_rank` proves B a polymatroid's base set.
+    homogenizing coordinate.  When :func:`base_set_rank` proves B a
+    polymatroid's base set, the rank is kept and the lattice read off the
+    components of rho, its minimal separators: nonempty A with rho(A) +
+    rho([n] - A) = rho([n]), closed under meet and complement.  By Edmonds
+    the base polytope has dimension n - c for c components and edges along
+    e_i - e_j with a base at each lattice point, so the differences of bases
+    span {x : x(C) = 0 on each C}, with Hermite rows e_i - e_max(C), i < max(C).
     """
-    G = graded_generators(B.vectors)
     rho = base_set_rank(B)
-    return G if rho is None else replace(G, _rank=rho)
+    if rho is None:
+        return graded_generators(B.vectors)
+    n, vals, full = B.n, rho.values, (1 << B.n) - 1
+    separators = [A for A in range(1, full + 1) if vals[A] + vals[full ^ A] == vals[full]]
+    separators.sort(key=int.bit_count)  # so that i's component, the least holding i, comes first
+    tops = [next(A for A in separators if A >> i & 1).bit_length() - 1 for i in range(n)]
+    lattice = tuple(
+        tuple((k == i) - (k == j) for k in range(n)) for i, j in enumerate(tops) if i != j
+    )
+    return GradedGenerators(n, B.vectors, min(B.vectors), lattice, len(lattice) + 1, rho)
 
 
 def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:

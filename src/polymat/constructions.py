@@ -44,7 +44,8 @@ def veronese(caps: Iterable[int], d: int) -> BaseSet:
         raise ValueError("modulus must be nonnegative")
     if sum(s) < d:
         raise ValueError(f"caps sum to {sum(s)} < {d}; no vector reaches modulus {d}")
-    check_cap(box_count([0] * len(s), s, d), "Veronese enumeration")
+    count = box_count([0] * len(s), s, d)  # the cap bounds the entries listed, count times n
+    check_cap(count * len(s), f"Veronese enumeration of {count} vectors", "entries")
     return _proven(BaseSet(len(s), frozenset(box_points([0] * len(s), s, d)), d))
 
 

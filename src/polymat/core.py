@@ -28,10 +28,10 @@ def max_points() -> int:
     return int(raw) if raw else DEFAULT_MAX_POINTS
 
 
-def check_cap(count: int, what: str) -> None:
+def check_cap(count: int, what: str, items: str = "points") -> None:
     cap = max_points()
     if count > cap:
-        raise SizeCapExceeded(f"{what} needs {count} points, cap is {cap}")
+        raise SizeCapExceeded(f"{what} needs {count} {items}, cap is {cap}")
 
 
 @dataclass(frozen=True)

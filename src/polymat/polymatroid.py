@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, permutations, product
 from math import prod
-from operator import le, sub
+from operator import le, mul, sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -411,15 +411,26 @@ def rank_function(B: BaseSet) -> RankFunction:
 def _max_subset_sums(vectors, n: int) -> tuple:
     """For every subset A of [n] (by bitmask), the largest u(A) over the
     vectors; refused before it is built when :func:`rank_table_fits` does
-    not allow it."""
+    not allow it.  A table is one int, u(A) in field A of whole bytes under
+    a guard bit: the sum of u(i) times the int with a one in each field
+    holding i.  The guard bits left by one subtraction pick each max.
+    """
     if not rank_table_fits(n, len(vectors)):
         raise SizeCapExceeded(
             f"rank table on [{n}] needs ({len(vectors)} + {n}^2) * 2^{n} steps, cap is {max_points()}"
         )
-    best = [0] * (1 << n)
+    width = (max(map(sum, vectors), default=0).bit_length() + 8) // 8
+    one, zero = (1).to_bytes(width, "little"), bytes(width)
+    guard = int.from_bytes((zero[1:] + b"\x80") * (1 << n), "little")
+    stripes = [(zero * (1 << i) + one * (1 << i)) * (1 << n - 1 - i) for i in range(n)]
+    units = [int.from_bytes(s, "little") for s in stripes]  # a one in each field holding i
+    best = 0
     for u in vectors:
-        best = [a if a > b else b for a, b in zip(best, subset_sums(u))]
-    return tuple(best)
+        table = sum(map(mul, u, units))
+        more = ((best | guard) - table) & guard
+        best = table ^ ((best ^ table) & (more - (more >> 8 * width - 1)))
+    data = best.to_bytes(width << n, "little")
+    return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, width << n, width))
 
 
 def validate_rank_function(rho: RankFunction) -> Verdict:
@@ -476,9 +487,11 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     g(next)], the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
     t*rho([n] - A) on the masks it ends leave g'(B) = min(g(B), g(B +
     next) - v).  Equal states have equally many completions, so each level
-    maps its states to the number of prefixes reaching them.  The last
-    three coordinates take one interval per state, read off four entries
-    of it.  Every inequality is checked: no use is made of submodularity.
+    maps its states to the number of prefixes reaching them.  With three
+    coordinates left, the next takes [lo, hi] and the one after, at v,
+    [max(floor, gap - v), min(ceil, top - v)], off four entries of the
+    state; :func:`_last_two` sums those widths in closed form.  Every
+    inequality is checked: no use is made of submodularity.
 
     A table is one int: g(A) plus a bias, under a guard bit, fills the
     field at rev(A), the bits of A reversed.  So g(B) is the low half of
@@ -539,16 +552,25 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
                 level[child] = level.get(child, 0) + mult
                 drop -= ones
         states = level
-    # coordinate n - 2 at v in [lo, hi], and n - 1 in [max(floor, gap - v), min(ceil, top - v)]
     count = 0
     for g, mult, lo, hi in spans:
         rem, g2, g3, g4, g5 = [(g >> bits * i & field) - bias for i in (7, 2, 6, 1, 5)]
-        ceil, top, floor, gap = g2, min(rem, g3), max(0, rem - g5), rem - g4
-        for v in range(lo, hi + 1):
-            width = min(ceil, top - v) - max(floor, gap - v) + 1
-            if width > 0:
-                count += mult * width
+        count += mult * _last_two(lo, hi, g2, min(rem, g3), max(0, rem - g5), rem - g4)
     return count
+
+
+def _last_two(lo: int, hi: int, ceil: int, top: int, floor: int, gap: int) -> int:
+    """The sum over v in [lo, hi] of the positive widths f(v) of [max(floor,
+    gap - v), min(ceil, top - v)].  f(v) is the least of flat, flat + up + v
+    and flat + down - v, and up + down >= 0, so f(v) = flat - max(0, -up -
+    v) - max(0, v - down); where f > 0 each part sums to triangular numbers."""
+    flat = min(ceil - floor, top - gap) + 1
+    up, down = max(floor - gap, ceil - top), max(gap - floor, top - ceil)
+    lo, hi = max(lo, 1 - flat - up), min(hi, flat + down - 1)
+    if flat < 1 or lo > hi:
+        return 0
+    tri = [max(x, 0) * (x + 1) // 2 for x in (-up - lo, -up - hi - 1, hi - down, lo - 1 - down)]
+    return (hi - lo + 1) * flat - tri[0] + tri[1] - tri[2] + tri[3]
 
 
 def membership(rho: RankFunction, u: Vector) -> bool:

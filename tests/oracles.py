@@ -158,6 +158,18 @@ def rank_values(vectors, n):
     return tuple(values)
 
 
+def max_subset_sums(vectors, n):
+    """Max subset mass over the vectors by the list loop that the packed
+    table replaced: each vector's subset sums, merged entrywise."""
+    best = [0] * (1 << n)
+    for u in vectors:
+        sums = [0]
+        for e in u:
+            sums += [s + e for s in sums]
+        best = [a if a > b else b for a, b in zip(best, sums)]
+    return tuple(best)
+
+
 def points_under(values, n):
     """Box enumeration of {u : u(A) <= values[A]}, no pruning."""
     caps = [values[1 << i] for i in range(n)]
@@ -557,6 +569,18 @@ def count_bases_contraction(rho, t, limit):
             width = min(ceil, top - v) - max(floor, gap - v) + 1
             if width > 0:
                 count += mult * width
+    return count
+
+
+def last_two(lo, hi, ceil, top, floor, gap):
+    """The per-v loop that the closed form replaced: for coordinate n - 2 at
+    each v in [lo, hi], the positive width of coordinate n - 1's interval
+    [max(floor, gap - v), min(ceil, top - v)]."""
+    count = 0
+    for v in range(lo, hi + 1):
+        width = min(ceil, top - v) - max(floor, gap - v) + 1
+        if width > 0:
+            count += width
     return count
 
 

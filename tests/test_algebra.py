@@ -135,6 +135,70 @@ def test_rank_kept_only_for_polymatroids(stable_five, stable_five_set):
     assert base_ring_generators(base_set([(2, 0), (1, 1), (0, 2)])).rank is not None
 
 
+def _theorem_cases():
+    """Base sets and polymatroids with a proved rank beyond the pools:
+    loops, direct sums, one coordinate and modulus 0."""
+    loops = polymatroid_from_rank(RankFunction(3, (0, 2, 0, 2, 1, 2, 1, 2)))  # 2 is a loop
+    connected = polymatroid_from_rank(cap_rank((1, 2), 2))
+    direct = [  # {1, 2} + {3} and {1} + {2} + {3, 4}
+        base_set([(1, 1, 2), (2, 0, 2), (0, 2, 2)]),
+        base_set([(1, 2, 1, 0), (1, 2, 0, 1)]),
+    ]
+    return [loops.base_set, connected.base_set, base_set([(4,)]), base_set([(0, 0, 0)])] + direct, [
+        loops,
+        connected,
+        discrete_polymatroid([(0,), (1,), (2,)]),
+        discrete_polymatroid([(0, 0, 0)]),
+        discrete_polymatroid([(0, 0), (0, 1)]),
+    ]
+
+
+def test_generators_by_theorem_match_hermite_insertion(instance_pool, positive_pool):
+    base_sets, polymatroids = _theorem_cases()
+    for _, P in instance_pool + positive_pool:
+        base_sets.append(P.base_set)
+        polymatroids.append(P)
+    base_sets += list(_borel_base_sets())
+    rings = [base_ring_generators(B) for B in base_sets] + [ehrhart_generators(P) for P in polymatroids]
+    for G in rings:
+        assert G.rank is not None
+        H = graded_generators(G.gens)
+        assert (G.n, G.gens, G.origin, G.lattice, G.dim) == (H.n, H.gens, H.origin, H.lattice, H.dim)
+    # their connected components, n - dim + 1: loops and direct sums split
+    chosen = _theorem_cases()[0]
+    assert [B.n - base_ring_generators(B).dim + 1 for B in chosen] == [2, 1, 1, 3, 2, 3]
+
+
+def test_rank_carrying_generators_never_call_lattice_basis(monkeypatch, instance_pool):
+    import polymat.algebra as algebra
+
+    calls = []
+    lattice_basis = algebra.lattice_basis
+
+    def refused(rows):
+        raise AssertionError("lattice_basis called for generators with a proved rank")
+
+    monkeypatch.setattr(algebra, "lattice_basis", refused)
+    base_sets, polymatroids = _theorem_cases()
+    for _, P in instance_pool[:40]:
+        h_star(base_ring_generators(P.base_set))
+        h_star(ehrhart_generators(P))
+    for B in base_sets:
+        assert base_ring_generators(B).rank is not None
+    for P in polymatroids:
+        assert ehrhart_generators(P).rank is not None
+    # the same generators with the rank dropped go through Hermite insertion
+    monkeypatch.setattr(algebra, "lattice_basis", lambda rows: calls.append(rows) or lattice_basis(rows))
+    for B in base_sets:
+        G = base_ring_generators(B)
+        assert graded_generators(G.gens).lattice == G.lattice
+    assert len(calls) == len(base_sets)
+    # a base set without a proved rank keeps its Hermite lattice and its gap
+    G = base_ring_generators(base_set([(3, 0), (1, 2), (0, 3)]))
+    assert G.rank is None and len(calls) == len(base_sets) + 1
+    assert normality_check(G, 2).witness == (1, (2, 1))
+
+
 def test_hilbert_cap_bounds_the_count(monkeypatch):
     # the ten bases of modulus 3 on [3]; H(t) = C(3t + 2, 2), and the count
     # visits 3t + 1 prefixes.  Its rank table costs (10 + 3*3) * 2^3 = 152.

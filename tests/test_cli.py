@@ -567,13 +567,22 @@ def test_malformed_input_exits_two(capsys, tmp_path, argv, doc):
     assert not report["error"].startswith("internal error")
 
 
-def test_construct_veronese_on_many_coordinates(capsys):
-    # one coordinate per level of the box search: 1,200 would pass the recursion limit
+def test_construct_veronese_on_many_coordinates(capsys, monkeypatch):
+    # one coordinate per level of the box search: 1,200 would pass the recursion
+    # limit; the 1,440,000 entries listed need a cap above the default 10^6
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(1200 * 1200))
     code, report = run(capsys, "construct", "veronese", "--caps", ",".join(["1"] * 1200), "--rank", "1")
     assert code == 0
     vectors = report["result"]["vectors"]
     assert len(vectors) == 1200
     assert all(sum(v) == 1 and len(v) == 1200 for v in vectors)
+
+
+def test_construct_veronese_is_refused_by_its_entries(capsys):
+    # 44,850 vectors of 300 entries: well under 10^6 vectors, but past 10^6 entries
+    code, report = run(capsys, "construct", "veronese", "--caps", ",".join(["1"] * 300), "--rank", "2")
+    assert code == 2
+    assert report["error"] == "Veronese enumeration of 44850 vectors needs 13455000 entries, cap is 1000000"
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch, strong_five_file):

@@ -89,22 +89,34 @@ def test_veronese_cap_is_checked_before_listing(monkeypatch):
 
     monkeypatch.setattr(constructions, "box_points", listing)
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
-    with pytest.raises(SizeCapExceeded, match="needs 55252 points, cap is 100"):
+    with pytest.raises(SizeCapExceeded, match="of 55252 vectors needs 331512 entries, cap is 100"):
         veronese((9,) * 6, 27)
-    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(719_400 - 1))
-    with pytest.raises(SizeCapExceeded, match="needs 719400 points"):
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(719_400 * 1200 - 1))
+    with pytest.raises(SizeCapExceeded, match="of 719400 vectors needs 863280000 entries"):
         veronese((1,) * 1200, 2)
 
 
 def test_veronese_cap_counts_exactly(monkeypatch):
+    # the cap bounds the entries listed: the count of vectors times n
     for caps in [(0, 3, 1), (2, 2, 2), (5, 1, 1, 1), (4,), (3, 0, 4, 2)]:
         for d in range(sum(caps) + 1):
             count = sum(1 for u in product(*(range(c + 1) for c in caps)) if sum(u) == d)
-            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count))
+            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count * len(caps)))
             assert len(veronese(caps, d)) == count
-            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count - 1))
-            with pytest.raises(SizeCapExceeded):
+            monkeypatch.setenv("POLYMAT_MAX_POINTS", str(count * len(caps) - 1))
+            with pytest.raises(SizeCapExceeded, match=f"needs {count * len(caps)} entries"):
                 veronese(caps, d)
+
+
+def test_veronese_entry_cap_boundary_on_many_coordinates():
+    # under the default cap of 10^6 entries: 1000 unit vectors of 1000
+    # entries fill it, 1001 of 1001 pass it, and 44,850 vectors of 300
+    # entries (once 15.6 s and 233 MB to list) are refused before listing
+    assert len(veronese((1,) * 1000, 1)) == 1000
+    with pytest.raises(SizeCapExceeded, match="of 1001 vectors needs 1002001 entries, cap is 1000000"):
+        veronese((1,) * 1001, 1)
+    with pytest.raises(SizeCapExceeded, match="of 44850 vectors needs 13455000 entries"):
+        veronese((1,) * 300, 2)
 
 
 # --- strongly stable sets --------------------------------------------------------

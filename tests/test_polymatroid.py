@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from itertools import product
 from operator import add
 from random import Random
 
@@ -12,6 +13,7 @@ from polymat import (
     RankFunction,
     SizeCapExceeded,
     VectorSet,
+    base_ring_generators,
     base_set,
     base_set_rank,
     bases,
@@ -203,6 +205,22 @@ def test_rank_function_matches_oracle(instance_pool, seed):
     _, P = instance_pool[seed]
     rho = rank_function(P.base_set)
     assert rho.values == oracles.rank_values(sorted(P.bases), P.n)
+
+
+def test_packed_rank_table_matches_the_list_loop(instance_pool, positive_pool, scan_pool):
+    # the pools' base and point sets, and random vector sets whose moduli
+    # need fields of one, two and three bytes
+    sets = [(sorted(B.vectors), B.n) for B in scan_pool]
+    for _, P in instance_pool + positive_pool:
+        sets += [(sorted(P.bases), P.n), (sorted(P.points), P.n)]
+    rng = Random(31)
+    for _ in range(300):
+        n, top = rng.randint(1, 6), rng.choice((1, 3, 127, 128, 255, 40_000))
+        sets.append(([tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 6))], n))
+    for vectors, n in sets:
+        expected = oracles.max_subset_sums(vectors, n)
+        assert polymatroid._max_subset_sums(vectors, n) == expected, (vectors, n)
+        assert oracles.rank_values(vectors, n) == expected
 
 
 def test_validate_rank_function_examples():
@@ -561,7 +579,7 @@ def _agrees_with_the_oracles_at_every_limit(rho, t):
         assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
 
 
-def _agrees_with_the_oracles_at_the_threshold(rho, t):
+def _agrees_with_the_oracles_at_the_threshold(rho, t, oracles_used=COUNT_ORACLES):
     """Every counter gives None below one limit and its count from there on,
     so agreeing at that limit and the one below is agreeing at every limit.
     The limit is found by bisection, for counts too many to walk."""
@@ -575,7 +593,7 @@ def _agrees_with_the_oracles_at_the_threshold(rho, t):
         else:
             limit = mid
     got = count_bases(rho, t, limit)
-    for oracle in COUNT_ORACLES:
+    for oracle in oracles_used:
         assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
         assert below < 0 or oracle(rho, t, below) is None, (oracle.__name__, rho, t, below)
 
@@ -654,6 +672,29 @@ def test_count_bases_on_three_coordinates_runs_no_contraction_level():
     zero_table = RankFunction(3, (0,) * 8)
     assert [count_bases(zero_table, t, 1) for t in range(4)] == [1, 1, 1, 1]
     assert count_bases(zero_table, 2, 0) is None
+
+
+def test_last_two_closed_form_matches_the_per_v_loop():
+    # every argument in -3..3, and wider random ones
+    for args in product(range(-3, 4), repeat=6):
+        assert polymatroid._last_two(*args) == oracles.last_two(*args), args
+    rng = Random(41)
+    for _ in range(20_000):
+        args = [rng.randint(-40, 40) for _ in range(6)]
+        assert polymatroid._last_two(*args) == oracles.last_two(*args), args
+
+
+def test_count_bases_matches_the_contraction_oracle_up_to_the_dimension(instance_pool, positive_pool):
+    # every degree h_star reads, on the base and point rings of the pools, at
+    # the first limit that gives a count and the one below
+    rings = []
+    for _, P in instance_pool + positive_pool:
+        rings += [base_ring_generators(P.base_set), ehrhart_generators(P)]
+    rings = [G for G in rings if G.rank is not None]
+    assert len(rings) == 2 * 250
+    for G in rings:
+        for t in range(G.dim + 1):
+            _agrees_with_the_oracles_at_the_threshold(G.rank, t, (oracles.count_bases_contraction,))
 
 
 def test_count_bases_refuses_a_rank_function_at_the_first_level_past_the_limit(monkeypatch):
