@@ -49,7 +49,6 @@ from .core import (
     eval_on_subset,
     exchange_step,
     join,
-    join_meet,
     max_points,
     meet,
     modulus,
@@ -68,7 +67,6 @@ from .exchange import (
     sign_sequence,
     sort_pair,
     symmetric_exchange_witness,
-    verify_symmetric_exchange,
 )
 from .sampling import random_polymatroid, random_rank_function
 from .polymatroid import (

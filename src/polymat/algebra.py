@@ -60,23 +60,20 @@ class GradedGenerators:
     """Degree-one generators of an affine semigroup, with their
     difference lattice (integer echelon basis) and Krull dimension: by the
     theorems of :func:`base_ring_generators` and :func:`ehrhart_generators`
-    for a proved rank, else by Hermite insertion."""
+    for a proved rank, else by Hermite insertion.
+
+    rank is a polymatroid rank function whose t-th dilate has exactly H(t)
+    integer bases, or None.  Only :func:`ehrhart_generators` and
+    :func:`base_ring_generators` set it, once it is proved; Hilbert values
+    are then counted from it instead of from the sumset.
+    """
 
     n: int
     gens: frozenset
     origin: Vector
     lattice: tuple
     dim: int
-    _rank: RankFunction | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def rank(self) -> RankFunction | None:
-        """A polymatroid rank function whose t-th dilate has exactly H(t)
-        integer bases, or None.  Only :func:`ehrhart_generators` and
-        :func:`base_ring_generators` set it, once it is proved; Hilbert
-        values are then counted from it instead of from the sumset.
-        """
-        return self._rank
+    rank: RankFunction | None = field(default=None, compare=False, repr=False)
 
 
 def graded_generators(vectors) -> GradedGenerators:
@@ -114,13 +111,14 @@ def ehrhart_generators(P: DiscretePolymatroid | VectorSet) -> GradedGenerators:
 
 def base_ring_generators(B: BaseSet) -> GradedGenerators:
     """The bases themselves; their equal modulus plays the role of the
-    homogenizing coordinate.  When :func:`base_set_rank` proves B a
-    polymatroid's base set, the rank is kept and the lattice read off the
-    components of rho, its minimal separators: nonempty A with rho(A) +
-    rho([n] - A) = rho([n]), closed under meet and complement.  By Edmonds
-    the base polytope has dimension n - c for c components and edges along
-    e_i - e_j with a base at each lattice point, so the differences of bases
-    span {x : x(C) = 0 on each C}, with Hermite rows e_i - e_max(C), i < max(C).
+    homogenizing coordinate.  When :func:`base_set_rank` gives the rank
+    that proves B a polymatroid's base set, it is kept and the lattice
+    read off the components of rho, its minimal separators: nonempty A
+    with rho(A) + rho([n] - A) = rho([n]), closed under meet and
+    complement.  By Edmonds the base polytope has dimension n - c for c
+    components and edges along e_i - e_j with a base at each lattice
+    point, so the differences of bases span {x : x(C) = 0 on each C},
+    with Hermite rows e_i - e_max(C), i < max(C).
     """
     rho = base_set_rank(B)
     if rho is None:

@@ -94,10 +94,6 @@ def meet(u: Vector, v: Vector) -> Vector:
     return tuple(map(min, u, v))
 
 
-def join_meet(u: Vector, v: Vector) -> tuple[Vector, Vector]:
-    return join(u, v), meet(u, v)
-
-
 def distance(u: Vector, v: Vector) -> int:
     """Half the l1-distance; defined for vectors of equal modulus."""
     _check_same_n(u, v)

@@ -68,11 +68,6 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
     return next((j + 1 for j in set_bits(row(a, i - 1) & up) if row(b, j) >> i - 1 & 1), None)
 
 
-def verify_symmetric_exchange(B: BaseSet) -> Verdict:
-    """Every u(i) > v(i) admits a two-sided swap, by theorem on a base set."""
-    return exchange_property(B, ExchangeMode.SYMMETRIC)
-
-
 # --- sorting ----------------------------------------------------------------
 
 

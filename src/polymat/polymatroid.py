@@ -67,9 +67,18 @@ class BaseSet(VectorSet):
         return _swap_rows(self.vectors)
 
     @cached_property
+    def _table(self) -> RankFunction:
+        """:func:`rank_function`'s table, built once per base set."""
+        return RankFunction(self.n, _max_subset_sums(self.vectors, self.n))
+
+    @cached_property
     def _base_verdict(self) -> Verdict:
         """:func:`is_base_set`'s verdict, decided once per base set."""
-        return Verdict(True) if base_set_rank(self) is not None else _exchange_failure(self, "base")
+        if rank_table_fits(self.n, len(self)):
+            rho, size = self._table, len(self)
+            if validate_rank_function(rho) and count_bases(rho, 1, size) == size:
+                return Verdict(True)
+        return _exchange_failure(self, "base")
 
     @cached_property
     def _sortable_verdict(self) -> Verdict:
@@ -244,7 +253,9 @@ def bases(P: DiscretePolymatroid) -> BaseSet:
 def is_base_set(B: BaseSet) -> Verdict:
     """Holds exactly when B is the base set of a discrete polymatroid.
 
-    Proved by :func:`base_set_rank` where the rank table is cheap; the
+    Where the rank table is cheap, by Edmonds: B is a base set exactly
+    when rho = rank_function(B) is a rank function with |B| integer bases
+    (B is always among them), and B keeps rho once proved.  The
     one-sided exchange scan (every deficit coordinate admits a repair
     swap) decides the rest, with witness (u, v, i): u(i) > v(i) but no j
     with u(j) < v(j) and u - e_i + e_j in B.  B keeps the verdict; the
@@ -385,27 +396,27 @@ def _symmetric_moves(B: BaseSet) -> Iterator[tuple]:
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:
-    """rank_function(B) when it proves B the base set of its polymatroid.
-
-    B is the base set of a discrete polymatroid exactly when rho =
-    rank_function(B) is a rank function with |B| integer bases (B is
-    always among them).  None when the proof fails, and when the rank
-    table costs more than :func:`rank_table_fits` allows.
-    """
-    if not rank_table_fits(B.n, len(B)):
-        return None
-    rho = rank_function(B)
-    if validate_rank_function(rho) and count_bases(rho, 1, len(B)) == len(B):
-        return rho
-    return None
+    """rank_function(B), kept by B, when :func:`is_base_set` holds; None
+    when it fails and when the table costs more than :func:`rank_table_fits`
+    allows, which is read at every call."""
+    return B._table if rank_table_fits(B.n, len(B)) and is_base_set(B) else None
 
 
 # --- rank functions ---------------------------------------------------------
 
 
 def rank_function(B: BaseSet) -> RankFunction:
-    """rho(A) = max over bases of the mass a base puts on A."""
-    return RankFunction(B.n, _max_subset_sums(B.vectors, B.n))
+    """rho(A) = max over bases of the mass a base puts on A, built once per
+    base set; the size cap is read at every call, also for a kept table."""
+    _check_table(B.n, len(B))
+    return B._table
+
+
+def _check_table(n: int, count: int) -> None:
+    if not rank_table_fits(n, count):
+        raise SizeCapExceeded(
+            f"rank table on [{n}] needs ({count} + {n}^2) * 2^{n} steps, cap is {max_points()}"
+        )
 
 
 def _max_subset_sums(vectors, n: int) -> tuple:
@@ -415,10 +426,7 @@ def _max_subset_sums(vectors, n: int) -> tuple:
     a guard bit: the sum of u(i) times the int with a one in each field
     holding i.  The guard bits left by one subtraction pick each max.
     """
-    if not rank_table_fits(n, len(vectors)):
-        raise SizeCapExceeded(
-            f"rank table on [{n}] needs ({len(vectors)} + {n}^2) * 2^{n} steps, cap is {max_points()}"
-        )
+    _check_table(n, len(vectors))
     width = (max(map(sum, vectors), default=0).bit_length() + 8) // 8
     one, zero = (1).to_bytes(width, "little"), bytes(width)
     guard = int.from_bytes((zero[1:] + b"\x80") * (1 << n), "little")
@@ -621,10 +629,10 @@ def hull_consistency(P: DiscretePolymatroid | VectorSet) -> bool:
     sets it fails and certifies the defect.
     """
     if isinstance(P, DiscretePolymatroid):  # every point lies below a base
-        pts, top = P.points, P.bases
+        pts, values = P.points, rank_function(P.base_set).values
     else:
-        pts = top = P.vectors
-    return _points_within(_max_subset_sums(top, P.n), P.n) == pts
+        pts, values = P.vectors, _max_subset_sums(P.vectors, P.n)
+    return _points_within(values, P.n) == pts
 
 
 # --- structural operations --------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polymat import algebra, cli, polymatroid
+from polymat import algebra, base_set, cli, polymatroid, principal_borel
 from polymat.cli import SchemaError, build_parser, main, parse_document
 
 
@@ -388,6 +388,37 @@ def test_rank_function_document_is_validated_once(capsys, monkeypatch, tmp_path)
     assert report["error"] == "field 'values' is not a valid rank function: ('monotone', 1, 3)"
     code, report = run(capsys, "validate", bad)
     assert code == 1 and report["witness"] == ["monotone", 1, 3]
+
+
+def test_a_base_set_builds_and_proves_its_rank_table_once(capsys, monkeypatch, strong_five_file):
+    # the base ring verdict and the rank and facets commands read the table
+    # that the base-set proof built; a second call on the same set builds none
+    built, checked = [], []
+    table, validate = polymatroid._max_subset_sums, polymatroid.validate_rank_function
+
+    def counted_table(vectors, n):
+        built.append(n)
+        return table(vectors, n)
+
+    def counted(rho):
+        checked.append(rho.values)
+        return validate(rho)
+
+    monkeypatch.setattr(polymatroid, "_max_subset_sums", counted_table)
+    for module in (cli, polymatroid, algebra):
+        monkeypatch.setattr(module, "validate_rank_function", counted)
+    B = base_set(principal_borel((0, 0, 1, 1, 3)))
+    assert len(B) == 117
+    verdict = algebra.base_ring_gorenstein(B)
+    assert (len(built), len(checked)) == (1, 1)
+    assert algebra.base_ring_gorenstein(B) == verdict
+    assert (len(built), len(checked)) == (1, 1)
+    # strong_five_file holds the vectors of the golden borel211 document
+    code, report = run(capsys, "rank", strong_five_file)
+    assert code == 0 and report["result"]["values"] == [0, 4, 2, 4, 1, 4, 2, 4]
+    assert len(built) == 2
+    code, report = run(capsys, "facets", strong_five_file)
+    assert code == 0 and len(built) == 3
 
 
 def test_facets_and_criterion_validate_a_rank_function_document_once(capsys, monkeypatch, tmp_path):

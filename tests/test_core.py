@@ -12,7 +12,6 @@ from polymat import (
     eval_on_subset,
     exchange_step,
     join,
-    join_meet,
     max_points,
     meet,
     modulus,
@@ -58,21 +57,25 @@ def test_modulus_examples():
 
 
 def test_join_meet_examples():
-    assert join_meet((1, 1, 1, 1), (0, 2, 0, 2)) == ((1, 2, 1, 2), (0, 1, 0, 1))
-    assert join_meet((2, 0), (0, 2)) == ((2, 2), (0, 0))
+    assert join((1, 1, 1, 1), (0, 2, 0, 2)) == (1, 2, 1, 2)
+    assert meet((1, 1, 1, 1), (0, 2, 0, 2)) == (0, 1, 0, 1)
+    assert join((2, 0), (0, 2)) == (2, 2)
+    assert meet((2, 0), (0, 2)) == (0, 0)
     u = (3, 1, 4)
-    assert join_meet(u, u) == (u, u)
+    assert join(u, u) == meet(u, u) == u
 
 
 def test_join_meet_dimension_mismatch():
     with pytest.raises(ValueError):
         join((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        meet((1, 2), (1, 2, 3))
 
 
 @given(pairs_same_n())
 def test_join_meet_bounds(pair):
     u, v = pair
-    top, bottom = join_meet(u, v)
+    top, bottom = join(u, v), meet(u, v)
     assert all(a <= b for a, b in zip(bottom, u))
     assert all(a <= b for a, b in zip(u, top))
     assert meet(u, join(u, v)) == u  # absorption

@@ -24,7 +24,6 @@ from polymat import (
     sort_pair,
     symmetric_exchange_relations,
     symmetric_exchange_witness,
-    verify_symmetric_exchange,
     veronese,
     white_check,
 )
@@ -206,7 +205,8 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(toric, "_symmetric_moves", lambda args: calls.update(["moves"]))
-    spy(polymatroid, "base_set_rank", lambda args: calls.update(["proof"]))
+    for name in ("validate_rank_function", "count_bases"):
+        spy(polymatroid, name, lambda args: calls.update(["proof"]))
     spy(polymatroid, "_sort_failure", lambda args: calls.update(["sortable"]))
     spy(toric, "_first_split", lambda args: splits.append((args[1], args[2].__name__)))
     for module in (exchange, polymatroid):
@@ -257,9 +257,8 @@ def test_symmetric_witness_preconditions(four_bases):
 
 
 def test_verify_symmetric_exchange_examples(four_bases, borel_211):
-    assert verify_symmetric_exchange(four_bases)
-    assert verify_symmetric_exchange(borel_211)
-    assert verify_symmetric_exchange(base_set([(5, 0, 5)]))
+    for B in (four_bases, borel_211, base_set([(5, 0, 5)])):
+        assert exchange_property(B, ExchangeMode.SYMMETRIC)
 
 
 # --- sorting ------------------------------------------------------------------

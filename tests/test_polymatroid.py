@@ -182,6 +182,30 @@ def test_base_set_proof_matches_exchange_scan(instance_pool, monkeypatch):
             assert verdict.witness in oracles.base_exchange_failures(B.vectors)
 
 
+def test_the_cap_is_read_at_every_call_also_for_a_kept_rank_table(instance_pool, monkeypatch):
+    for _, P in instance_pool[:40]:
+        B = replace(P.base_set)
+        steps = (len(B) + B.n**2) << B.n
+        assert base_set_rank(B) is rank_function(B)
+        assert rank_function(B).values == oracles.max_subset_sums(B.vectors, B.n)
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(steps - 1))
+        assert base_set_rank(B) is None
+        message = f"rank table on [{B.n}] needs ({len(B)} + {B.n}^2) * 2^{B.n} steps, cap is {steps - 1}"
+        with pytest.raises(SizeCapExceeded, match=re.escape(message)):
+            rank_function(B)
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(steps))
+        assert base_set_rank(B) is rank_function(B)
+        monkeypatch.delenv("POLYMAT_MAX_POINTS")
+    # a verdict that the exchange scan gave under cap 1 still yields the
+    # table once the cap allows it
+    for _, P in instance_pool[:40]:
+        B = replace(P.base_set)
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", "1")
+        assert is_base_set(B) and base_set_rank(B) is None
+        monkeypatch.delenv("POLYMAT_MAX_POINTS")
+        assert base_set_rank(B).values == oracles.max_subset_sums(B.vectors, B.n)
+
+
 def test_bases_and_lift_carry_the_verdict_a_fresh_proof_gives(instance_pool):
     # a polymatroid keeps one base set; it and the lift carry the verdict
     # that a theorem proves, which a fresh copy proves again
