@@ -46,7 +46,6 @@ from .core import (
     Verdict,
     as_vector,
     distance,
-    eval_on_subset,
     exchange_step,
     join,
     max_points,
@@ -86,7 +85,6 @@ from .polymatroid import (
     is_base_set,
     is_discrete_polymatroid,
     lift,
-    maximal_vectors,
     membership,
     polymatroid_from_rank,
     polymatroid_sum,

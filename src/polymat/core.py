@@ -102,14 +102,6 @@ def distance(u: Vector, v: Vector) -> int:
     return sum(abs(a - b) for a, b in zip(u, v)) // 2
 
 
-def eval_on_subset(u: Vector, mask: int) -> int:
-    """u(A) = sum of the entries of u indexed by the subset A (a bitmask)."""
-    n = len(u)
-    if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} outside range for ground set [{n}]")
-    return sum(u[k] for k in set_bits(mask))
-
-
 def subset_sums(u: Vector) -> list[int]:
     """u(A) for every subset A of [n], indexed by bitmask."""
     sums = [0]

@@ -7,12 +7,13 @@ deficit coordinate has some repair swap) implies weak (some swap exists
 per pair).  Symmetric exchange adds the mirrored swap on the partner, and
 holds on every base set, as weak does: both are scanned only off base sets.
 
-Each scan quantifies over the ordered pairs u, v and the i with u(i) >
-v(i) and j with u(j) < v(j): weak asks for some (i, j) with u - e_i + e_j
-in B, base for some such j at every i, strong for every (i, j), symmetric
-for some j at every i with v - e_j + e_i in B too.  The swaps of each base
-at each i are tested once per base set, on the coordinates where bases
-differ, and every scan and the two-sided witness read the same rows.
+Each property is about the ordered pairs u, v and the i with u(i) > v(i)
+and j with u(j) < v(j): weak asks for some (i, j) with u - e_i + e_j in B,
+base for some such j at every i, strong for every (i, j), symmetric for
+some j at every i with v - e_j + e_i in B too.  A scan takes all partners
+v of a u at once, as bitmasks over the sorted bases; only the first pair
+that fails is read alone, for its witness.  The swap rows it reads, each
+tested once per base set, are those the two-sided witness reads.
 """
 
 from __future__ import annotations

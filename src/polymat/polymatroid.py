@@ -13,10 +13,10 @@ operations package what a theorem of the paper proves, without a scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, islice, permutations, product
+from functools import cached_property, reduce
+from itertools import accumulate, combinations, islice, permutations, product
 from math import prod
-from operator import le, mul, sub
+from operator import itemgetter, le, mul, or_, sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -65,6 +65,34 @@ class BaseSet(VectorSet):
         """(sorted bases, row, steps) of :func:`_swap_rows`, built once per
         base set and read by every exchange scan on it."""
         return _swap_rows(self.vectors)
+
+    @cached_property
+    def _orders(self) -> tuple[dict, dict]:
+        """(lt, gt): lt[k][a] and gt[k][a] are the bitmasks of the sorted bases
+        below and above base a at k, for each k where two bases differ; built
+        from each column's distinct values, never sized by the entries."""
+        lt, gt = {}, {}
+        for k, col in enumerate(zip(*self._swaps[0])):
+            at: dict = {}
+            for b, x in enumerate(col):
+                at[x] = at.get(x, 0) | 1 << b
+            if len(at) > 1:
+                below = dict(zip(sorted(at), accumulate(map(at.get, sorted(at)), or_, initial=0)))
+                lt[k] = [below[x] for x in col]
+                gt[k] = [((1 << len(col)) - 1) ^ below[x] ^ at[x] for x in col]
+        return lt, gt
+
+    @cached_property
+    def _has(self) -> dict:
+        """has[j, i]: the bitmask of the sorted bases w with w - e_j + e_i in B,
+        read off the rows of the w above another base at j, the only ones
+        that are ever a partner's j side; absent where empty."""
+        row, has = self._swaps[1], {}
+        for j, above in self._orders[1].items():
+            for w in set_bits(reduce(or_, above)):
+                for i in set_bits(row(w, j)):
+                    has[j, i] = has.get((j, i), 0) | 1 << w
+        return has
 
     @cached_property
     def _table(self) -> RankFunction:
@@ -187,16 +215,6 @@ def downward_closure(S: VectorSet) -> VectorSet:
     return VectorSet(S.n, frozenset(out))
 
 
-def maximal_vectors(S: VectorSet) -> tuple[Vector, ...]:
-    """Vectors of S not strictly dominated by another member."""
-    vs = S.vectors
-    out = []
-    for u in S:
-        if not any(u != v and all(a <= b for a, b in zip(u, v)) for v in vs):
-            out.append(u)
-    return tuple(out)
-
-
 def is_discrete_polymatroid(S: VectorSet) -> Verdict:
     """Decide the two axioms, returning the first violation found.
 
@@ -272,9 +290,9 @@ def _proven(B: BaseSet) -> BaseSet:
 
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
 #
-# Every exchange scan quantifies over the ordered pairs of bases and the
-# swaps below; each base set keeps one table, so each base's swaps at each
-# i are tested once per base set.
+# A base set keeps its bases' swap rows and, as bitmasks over the bases, those
+# below and above each base at each coordinate; the scans and the moves take
+# all partners of a base at once and visit no pair but a witness or a move.
 
 
 def _swap_rows(vs: frozenset):
@@ -316,16 +334,8 @@ def _swap_rows(vs: frozenset):
 def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
     """The 0-based i with u(i) > v(i), ascending, and the bitmask of the j
     with u(j) < v(j)."""
-    down = []
-    up = 0
-    k = 0
-    for a, b in zip(u, v):
-        if a > b:
-            down.append(k)
-        elif a < b:
-            up |= 1 << k
-        k += 1
-    return down, up
+    pairs = list(enumerate(zip(u, v)))
+    return [k for k, (a, b) in pairs if a > b], sum(1 << k for k, (a, b) in pairs if a < b)
 
 
 def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
@@ -339,18 +349,36 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     strong when row(u, i) holds up for every i in down, witness (u, v, i, j)
     with j the least missing; symmetric when every i in down has a j in
     row(u, i) and up with i in row(v, j), witness (u, v, i).  Witness
-    indices are 1-based.
+    indices are 1-based.  The v failing with u make one bitmask: v has i in
+    down when in lt[i][u], j in up when in gt[j][u].  With hit the union of
+    gt[j][u] over j in row(u, i) (cut to has[j, i] if symmetric; over j != i
+    off the row if strong), weak fails off the union over i of lt[i][u] &
+    hit, strong on it, the others on lt[i][u] & ~hit; the least v is first.
     """
     ordered, row, _ = B._swaps
+    lt, gt = B._orders
+    has = B._has if mode == "symmetric" else None
+    vary = sum(1 << k for k in gt)
     for a, u in enumerate(ordered):
-        for b, v in enumerate(ordered):
-            if a == b:
+        fail = 0
+        for i, below in lt.items():
+            if not below[a]:
                 continue
-            down, up = _deficits(u, v)
+            js = row(a, i)
+            if mode == "strong":
+                js = vary & ~js & ~(1 << i)
+            hit = 0
+            for j in set_bits(js):
+                hit |= (gt[j][a] & has.get((j, i), 0)) if has is not None else gt[j][a]
+            fail |= below[a] & (hit if mode in ("weak", "strong") else ~hit)
+        if mode == "weak":
+            fail = ((1 << len(ordered)) - 1) & ~fail & ~(1 << a)
+        if fail:
+            b = (fail & -fail).bit_length() - 1
+            v = ordered[b]
             if mode == "weak":
-                if not any(row(a, i) & up for i in down):
-                    return Verdict(False, (u, v))
-                continue
+                return Verdict(False, (u, v))
+            down, up = _deficits(u, v)
             for i in down:
                 js = row(a, i) & up
                 if mode == "strong":
@@ -374,25 +402,36 @@ def _sort_failure(B: BaseSet) -> Verdict:
     return Verdict(bad is None, bad)
 
 
-def _symmetric_moves(B: BaseSet) -> Iterator[tuple]:
+def _symmetric_moves(B: BaseSet) -> list[tuple]:
     """Every nontrivial symmetric exchange of B, once, as index pairs into
     sorted(B): ((a, b), (c, d), i, j) for a < b, c <= d, (c, d) != (a, b)
     and 1-based i, j with u(i) > v(i), u(j) < v(j), u' = u - e_i + e_j and
     v' = v - e_j + e_i, where u, v, u', v' are the bases at a, b, c, d; in
     the order of a, b, i and j.  The exchange on v at i' with u at j' is
-    this one at (j', i'), so pairs a < b reach every exchange.  c and d are
-    read off the swap rows' steps, so no vector is built.
+    this one at (j', i'), so pairs a < b reach every exchange.  At a, i and
+    j in row(a, i) the b > a are lt[i][a] & gt[j][a] & has[j, i]; c and d
+    are read off the swap rows' steps, so no vector is built.
     """
     ordered, row, steps = B._swaps
-    for a, b in combinations(range(len(ordered)), 2):
-        down, up = _deficits(ordered[a], ordered[b])
-        for i in down:
-            for j in set_bits(row(a, i) & up):
-                if row(b, j) >> i & 1:
-                    c, d = steps[a][i][j], steps[b][j][i]
-                    pair = (c, d) if c < d else (d, c)
-                    if pair != (a, b):
-                        yield (a, b), pair, i + 1, j + 1
+    lt, gt = B._orders
+    has = B._has
+    moves = []
+    for a in range(len(ordered)):
+        later = -1 << a + 1
+        found = []
+        for i, below in lt.items():
+            if mine := below[a] & later:
+                for j in set_bits(row(a, i)):
+                    c, partners = steps[a][i][j], mine & gt[j][a] & has.get((j, i), 0)
+                    while partners:
+                        b = (partners & -partners).bit_length() - 1
+                        partners ^= 1 << b
+                        if c != b:  # else the exchange swaps u and v
+                            d = steps[b][j][i]
+                            pair = (c, d) if c < d else (d, c)
+                            found.append(((a, b), pair, i + 1, j + 1))
+        moves += sorted(found, key=itemgetter(0))  # stable, so i and j stay in order
+    return moves
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:

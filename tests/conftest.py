@@ -95,3 +95,20 @@ def scan_pool(instance_pool):
         members = sorted(veronese(caps, rng.randint(1, sum(caps))).vectors)
         out.append(rng.sample(members, rng.randint(1, len(members))))
     return [base_set(vs) for vs in out]
+
+
+@pytest.fixture(scope="session")
+def wide_pool():
+    """Seeded sets of 65-120 vectors, so that bitmasks over them span several
+    machine words: Veronese base sets, each again without its middle base,
+    and random subsets of Veronese sets."""
+    rng = Random(23)
+    out = []
+    while len(out) < 12:
+        caps = [rng.randint(2, 4) for _ in range(rng.randint(4, 5))]
+        members = sorted(veronese(caps, rng.randint(2, sum(caps) - 2)).vectors)
+        if 65 <= len(members) <= 120 and members not in out:
+            out += [members, members[: len(members) // 2] + members[len(members) // 2 + 1 :]]
+        elif len(members) > 120:
+            out.append(rng.sample(members, rng.randint(65, 120)))
+    return [base_set(vs) for vs in out]

@@ -19,6 +19,11 @@ def swap(u, i, j):
     return tuple(w)
 
 
+def eval_on_subset(u, mask):
+    """u(A) for the subset A given as a bitmask, entry by entry."""
+    return sum(u[k] for k in range(len(u)) if mask >> k & 1)
+
+
 def weak_failures(vectors):
     vs = set(vectors)
     out = []
@@ -673,3 +678,65 @@ def minkowski_levels(summands, n):
     for summand in summands:
         level = {tuple(a + b for a, b in zip(s, g)) for s in level for g in summand}
         yield level
+
+
+def exchange_failure(vectors, mode):
+    """The first failure of an exchange mode ("weak", "base", "strong" or
+    "symmetric") by the pair loop that the bitmask scan replaced: the
+    ordered pairs u != v lexicographically, with down the i where u(i) >
+    v(i), up the j where u(j) < v(j) and row(u, i) the j with u - e_i + e_j
+    in the set.  The witness of the first failing pair, as the library
+    shapes it (1-based indices), or None when every pair passes."""
+    vs = set(vectors)
+    ordered = sorted(vs)
+    n = len(ordered[0])
+    rows = {}
+
+    def row(u, i):
+        if (u, i) not in rows:
+            rows[u, i] = {j for j in range(n) if j != i and swap(u, i, j) in vs}
+        return rows[u, i]
+
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            down = [i for i in range(n) if u[i] > v[i]]
+            up = {j for j in range(n) if u[j] < v[j]}
+            if mode == "weak":
+                if not any(row(u, i) & up for i in down):
+                    return (u, v)
+                continue
+            for i in down:
+                js = row(u, i) & up
+                if mode == "strong":
+                    if js != up:
+                        return (u, v, i + 1, min(up - js) + 1)
+                elif mode == "symmetric":
+                    if not any(i in row(v, j) for j in js):
+                        return (u, v, i + 1)
+                elif not js:
+                    return (u, v, i + 1)
+    return None
+
+
+def index_moves(vectors):
+    """Every symmetric exchange ((a, b), (c, d), i, j) as index pairs into
+    the sorted set, by the pair loop that the bitmask enumeration replaced:
+    the pairs a < b, then the i with u(i) > v(i) and the j with u(j) < v(j)
+    ascending, where u - e_i + e_j and v - e_j + e_i are the bases at c and
+    d, sorted, and (c, d) != (a, b)."""
+    ordered = sorted(set(vectors))
+    index = {u: k for k, u in enumerate(ordered)}
+    n = len(ordered[0])
+    out = []
+    for a, b in combinations(range(len(ordered)), 2):
+        u, v = ordered[a], ordered[b]
+        for i in range(n):
+            for j in range(n):
+                if u[i] > v[i] and u[j] < v[j]:
+                    c, d = index.get(swap(u, i, j)), index.get(swap(v, j, i))
+                    if c is not None and d is not None and tuple(sorted((c, d))) != (a, b):
+                        out.append(((a, b), tuple(sorted((c, d))), i + 1, j + 1))
+    return out
+

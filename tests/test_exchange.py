@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -134,6 +135,38 @@ def test_witnesses_match_oracles(scan_pool):
                 refused.add(mode)
     # every mode's refusal path is exercised
     assert refused == set(ExchangeMode)
+
+
+def test_scans_match_the_pair_loop(scan_pool, instance_pool, positive_pool, wide_pool):
+    """Every mode's verdict and witness equal those of the pair loop that the
+    bitmask scan replaced: on the scan pool, on the pools' base sets and on
+    sets of 65-120 vectors, whose bitmasks span several machine words."""
+    refused = Counter()
+    pools = [P.base_set for _, P in instance_pool + positive_pool]
+    for B in scan_pool + pools + wide_pool:
+        for mode in ExchangeMode:
+            want = oracles.exchange_failure(B.vectors, mode.value)
+            got = polymatroid._exchange_failure(B, mode.value)
+            assert got == Verdict(want is None, want), (sorted(B.vectors), mode)
+            refused[mode, len(B) > 64] += want is not None
+    assert all(refused[mode, wide] for mode in ExchangeMode for wide in (False, True))
+
+
+def test_deficits_only_on_the_witness_pair(scan_pool, wide_pool, monkeypatch):
+    """A scan computes the deficits of the one pair it reports (weak mode's
+    witness is the pair itself), and the symmetric moves of none."""
+    calls = []
+    real = polymatroid._deficits
+    monkeypatch.setattr(polymatroid, "_deficits", lambda u, v: calls.append((u, v)) or real(u, v))
+    for B in scan_pool + wide_pool:
+        for mode in ExchangeMode:
+            calls.clear()
+            verdict = polymatroid._exchange_failure(B, mode.value)
+            weak = mode is ExchangeMode.WEAK
+            assert calls == ([] if verdict or weak else [verdict.witness[:2]]), (sorted(B.vectors), mode)
+        calls.clear()
+        polymatroid._symmetric_moves(B)
+        assert calls == []
 
 
 def test_symmetric_witness_matches_oracle(scan_pool):
@@ -472,10 +505,52 @@ class _CountingSet(frozenset):
 @pytest.mark.parametrize("mode", list(ExchangeMode))
 @pytest.mark.parametrize("tail, holds", [((1, 0), True), ((2, 0), False)])
 def test_scans_try_only_the_coordinates_where_bases_differ(mode, tail, holds):
-    # two bases on [300] that agree off their last two coordinates
-    u = (1,) * 298 + tail
-    v = (1,) * 298 + tail[::-1]
-    vectors = _CountingSet((u, v))
-    B = dataclasses.replace(base_set([u, v]), vectors=vectors)
-    assert bool(exchange_property(B, mode)) is holds
-    assert vectors.tests <= 8
+    # two bases on [300] that agree off their last two coordinates, also with
+    # every entry near 10^12, which the bitmasks over the bases never grow with
+    for offset in (0, 10**12):
+        u = _raised((1,) * 298 + tail, offset)
+        v = _raised((1,) * 298 + tail[::-1], offset)
+        vectors = _CountingSet((u, v))
+        B = dataclasses.replace(base_set([u, v]), vectors=vectors)
+        started = time.perf_counter()
+        assert bool(exchange_property(B, mode)) is holds
+        assert bool(polymatroid._exchange_failure(B, mode.value)) is holds
+        if holds:
+            assert symmetric_exchange_relations(B) == ()  # its one exchange swaps u and v
+        assert time.perf_counter() - started < 1.0
+        assert vectors.tests <= 8
+
+
+def _raised(x, offset: int):
+    """x with every vector in it raised by offset in each entry."""
+    if isinstance(x, tuple) and x and all(isinstance(e, int) for e in x):
+        return tuple(e + offset for e in x)
+    if isinstance(x, tuple):
+        return tuple(_raised(e, offset) if isinstance(e, tuple) else e for e in x)
+    return x
+
+
+@pytest.mark.parametrize("offset", [10**12, 3 * 10**12 + 5])
+def test_huge_entries_give_the_raised_answers(offset, four_bases, borel_211, stable_five, borel_0101):
+    """Raising every entry of a set by offset raises every witness and
+    relation, and the work grows with the bases, not with the entries."""
+    for plain in (four_bases, borel_211, stable_five, borel_0101, veronese((2, 2, 2), 3)):
+        raised = [_raised(w, offset) for w in plain.vectors]
+        vectors = _CountingSet(raised)
+        B = dataclasses.replace(base_set(raised), vectors=vectors)
+        started = time.perf_counter()
+        for mode in ExchangeMode:
+            want = exchange_property(plain, mode)
+            assert exchange_property(B, mode) == Verdict(want.holds, _raised(want.witness, offset))
+            want = polymatroid._exchange_failure(plain, mode.value)
+            assert polymatroid._exchange_failure(B, mode.value) == Verdict(
+                want.holds, _raised(want.witness, offset)
+            )
+        if is_base_set(plain):
+            want = symmetric_exchange_relations(plain)
+            assert symmetric_exchange_relations(B) == tuple(
+                dataclasses.replace(r, left=_raised(r.left, offset), right=_raised(r.right, offset))
+                for r in want
+            )
+        assert time.perf_counter() - started < 1.0
+        assert vectors.tests <= len(B) * B.n * (B.n - 1)  # each row once

@@ -27,7 +27,6 @@ from polymat import (
     is_base_set,
     is_discrete_polymatroid,
     lift,
-    maximal_vectors,
     membership,
     polymatroid_from_rank,
     polymatroid_sum,
@@ -528,11 +527,11 @@ def test_rank_function_from_values_validation():
     assert rho(3) == 3
 
 
-def test_maximal_vectors():
-    S = vector_set([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert set(maximal_vectors(S)) == {(1, 1)}
-    S2 = vector_set([(2, 0), (0, 1)])
-    assert set(maximal_vectors(S2)) == oracles.maximal([(2, 0), (0, 1)])
+def test_maximal_vectors(instance_pool):
+    """The bases of a polymatroid are its maximal vectors."""
+    assert discrete_polymatroid([(0, 0), (1, 0), (0, 1), (1, 1)]).bases == {(1, 1)}
+    for _, P in instance_pool[:50]:
+        assert P.bases == oracles.maximal(P.points)
 
 
 def test_downward_closure_respects_cap(monkeypatch):
