@@ -1,15 +1,14 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here runs on Python ints and fractions.Fraction, so there is
-no floating point anywhere: affine ranks, lattice membership and convex
-hull membership are all decided exactly.  The lattice basis is the
-Hermite normal form, built by inserting one row at a time; hull
-membership is a phase-one simplex.
+Everything here runs on Python ints, so there is no floating point and
+no fraction anywhere: affine ranks, lattice membership and convex hull
+membership are all decided exactly.  The lattice basis is the Hermite
+normal form, built by inserting one row at a time; hull membership is a
+phase-one simplex on a fraction-free integer tableau.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -74,49 +73,62 @@ def in_scaled_hull(points: Sequence[Sequence[int]], target: Sequence[int], scale
     """Decide target in scale * conv(points) exactly.
 
     Equivalent to feasibility of sum(l_p * p) = target, sum(l_p) = scale,
-    l >= 0, settled by a phase-one simplex over Fraction with Bland's
-    rule (no cycling, no rounding).
+    l >= 0, settled by a phase-one simplex with Bland's rule (no cycling)
+    on a fraction-free integer tableau (Edmonds 1967, Bareiss 1968).
+
+    Each entry is the rational tableau entry times the determinant d of
+    the current basis, which starts at 1.  A pivot on p > 0 keeps the
+    pivot row; every other entry a, with f the entry of its row in the
+    pivot column and b the entry of its column in the pivot row, becomes
+    (p*a - f*b) / d, and then d = p.  By Sylvester's identity every entry
+    is a minor of the starting matrix (objective row included), so the
+    division is exact.  As d > 0, each entry has the sign of its rational
+    value and the ratios compare as the rationals do, so the pivots and
+    the verdict are those of the simplex over the rationals.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     pts = list(points)
+    for point in pts:
+        if len(point) != len(target):
+            raise ValueError(f"point has length {len(point)} but target has length {len(target)}")
     if not pts:
         return False
-    ncons = len(target) + 1
     nvars = len(pts)
     # rows: one per coordinate constraint plus the total-weight constraint
-    rows = []
-    for c in range(len(target)):
-        rows.append([Fraction(p[c]) for p in pts] + [Fraction(target[c])])
-    rows.append([Fraction(1)] * nvars + [Fraction(scale)])
-    for row in rows:
-        if row[-1] < 0:
-            for c in range(len(row)):
-                row[c] = -row[c]
+    rows = [[p[c] for p in pts] + [target[c]] for c in range(len(target))]
+    rows.append([1] * nvars + [scale])
+    rows = [[-a for a in row] if row[-1] < 0 else row for row in rows]
     # artificial variable i is basic in row i; objective = sum of artificials
-    basis = [nvars + i for i in range(ncons)]
-    obj = [sum(rows[r][c] for r in range(ncons)) for c in range(nvars + 1)]
+    basis = [nvars + i for i in range(len(rows))]
+    obj = [sum(col) for col in zip(*rows)]
+    d = 1
 
     while True:
         enter = next((c for c in range(nvars) if obj[c] > 0), None)
         if enter is None:
             break
-        ratios = [
-            (rows[r][-1] / rows[r][enter], basis[r], r)
-            for r in range(ncons)
-            if rows[r][enter] > 0
-        ]
-        if not ratios:  # unbounded cannot happen in phase one
+        leave = None  # least (ratio, basis[r]), the ratios compared crosswise
+        for r, row in enumerate(rows):
+            if row[enter] > 0 and (
+                leave is None
+                or (row[-1] * rows[leave][enter], basis[r]) < (rows[leave][-1] * row[enter], basis[leave])
+            ):
+                leave = r
+        if leave is None:  # unbounded cannot happen in phase one
             break
-        _, _, leave = min(ratios)
-        piv = rows[leave][enter]
-        rows[leave] = [a / piv for a in rows[leave]]
-        for r in range(ncons):
-            if r != leave and rows[r][enter]:
-                f = rows[r][enter]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[leave])]
+        pivot = rows[leave]
+        p = pivot[enter]
+        for r, row in enumerate(rows):
+            if r != leave:
+                f = row[enter]
+                if f:
+                    rows[r] = [(p * a - f * b) // d for a, b in zip(row, pivot)]
+                elif p != d:
+                    rows[r] = [p * a // d for a in row]
         f = obj[enter]
-        obj = [a - f * b for a, b in zip(obj, rows[leave])]
+        obj = [(p * a - f * b) // d for a, b in zip(obj, pivot)]
+        d = p
         basis[leave] = enter
 
     return obj[-1] == 0

@@ -7,6 +7,7 @@ exceptions are the earlier versions of library kernels at the end,
 kept as differential references for the kernels that replaced them.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import sub
 
@@ -740,3 +741,50 @@ def index_moves(vectors):
                         out.append(((a, b), tuple(sorted((c, d))), i + 1, j + 1))
     return out
 
+
+def in_scaled_hull(points, target, scale):
+    """target in scale * conv(points), by the phase-one simplex over
+    Fraction that the integer tableau replaced: one row per coordinate of
+    the target plus the total-weight row, artificial variables basic to
+    start, Bland's rule, and the least (ratio, basis[r], r) leaving."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    pts = list(points)
+    if not pts:
+        return False
+    ncons = len(target) + 1
+    nvars = len(pts)
+    rows = []
+    for c in range(len(target)):
+        rows.append([Fraction(p[c]) for p in pts] + [Fraction(target[c])])
+    rows.append([Fraction(1)] * nvars + [Fraction(scale)])
+    for row in rows:
+        if row[-1] < 0:
+            for c in range(len(row)):
+                row[c] = -row[c]
+    basis = [nvars + i for i in range(ncons)]
+    obj = [sum(rows[r][c] for r in range(ncons)) for c in range(nvars + 1)]
+
+    while True:
+        enter = next((c for c in range(nvars) if obj[c] > 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (rows[r][-1] / rows[r][enter], basis[r], r)
+            for r in range(ncons)
+            if rows[r][enter] > 0
+        ]
+        if not ratios:
+            break
+        _, _, leave = min(ratios)
+        piv = rows[leave][enter]
+        rows[leave] = [a / piv for a in rows[leave]]
+        for r in range(ncons):
+            if r != leave and rows[r][enter]:
+                f = rows[r][enter]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[leave])]
+        f = obj[enter]
+        obj = [a - f * b for a, b in zip(obj, rows[leave])]
+        basis[leave] = enter
+
+    return obj[-1] == 0

@@ -422,6 +422,26 @@ def test_normality_rejects_bad_tmax(borel_211):
         normality_check(base_ring_generators(borel_211), 0)
 
 
+def test_normality_verdicts_match_fraction_simplex(monkeypatch, instance_pool, positive_pool):
+    # the pools run at t_max = 1, and without the instance pool's Ehrhart
+    # rings (up to 209 points): the Fraction simplex would take minutes
+    # there, and about 13 s on the instance pool's base rings and 10 s on
+    # the positive pool's Ehrhart rings at t_max = 2
+    import polymat.algebra as algebra
+
+    cases = [(graded_generators([(3, 0), (1, 2), (0, 3)]), 2), (graded_generators([(3, 0), (2, 1), (0, 3)]), 2)]
+    cases += [(base_ring_generators(P.base_set), 1) for _, P in instance_pool + positive_pool]
+    cases += [(ehrhart_generators(P), 1) for _, P in positive_pool]
+    verdicts = [normality_check(G, t) for G, t in cases]
+    calls = []
+    monkeypatch.setattr(
+        algebra, "in_scaled_hull", lambda *args: calls.append(args) or oracles.in_scaled_hull(*args)
+    )
+    assert [normality_check(G, t) for G, t in cases] == verdicts
+    assert verdicts[:2] == [Verdict(False, (1, (2, 1))), Verdict(False, (1, (1, 2)))]
+    assert len(calls) > 500
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 49))
 def test_normality_on_positive_pool(positive_pool, seed):

@@ -1,5 +1,6 @@
 from random import Random
 
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
@@ -127,3 +128,40 @@ def test_hull_rejects_points_outside_box():
     pts = [(1, 1), (2, 2)]
     assert not in_scaled_hull(pts, (9, 9), 2)
     assert not in_scaled_hull(pts, (0, 3), 1)
+
+
+def test_hull_rejects_points_of_another_length():
+    # a longer point is not judged on its first coordinates, nor does a
+    # shorter one raise IndexError
+    with pytest.raises(ValueError, match="point has length 2 but target has length 1"):
+        in_scaled_hull([(1, 5)], (1,), 1)
+    with pytest.raises(ValueError, match="point has length 1 but target has length 2"):
+        in_scaled_hull([(1, 1), (1,)], (1, 1), 1)
+
+
+def test_hull_membership_matches_fraction_simplex():
+    # negative and wide entries, duplicate points, targets that are exact
+    # convex combinations (faces and ratio ties; some moved off by one)
+    # and random targets
+    rng = Random(0)
+    verdicts = []
+    for _ in range(5_000):
+        dim = rng.randint(1, 5)
+        width = rng.choice([2, 30, 10_000])
+        pts = [tuple(rng.randint(-width, width) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            pts += rng.choices(pts, k=rng.randint(1, 2))
+        if rng.random() < 0.5:
+            weights = [rng.choice([0, 0, 1, 2, 3]) for _ in pts]
+            weights[rng.randrange(len(pts))] += 1
+            scale = sum(weights)
+            target = [sum(w * p[c] for w, p in zip(weights, pts)) for c in range(dim)]
+            if rng.random() < 0.3:
+                target[rng.randrange(dim)] += rng.choice([-1, 1])
+        else:
+            scale = rng.randint(1, 4)
+            target = [rng.randint(-width * scale, width * scale) for _ in range(dim)]
+        expected = oracles.in_scaled_hull(pts, target, scale)
+        assert in_scaled_hull(pts, target, scale) == expected, (pts, target, scale)
+        verdicts.append(expected)
+    assert 0.3 < sum(verdicts) / len(verdicts) < 0.7
