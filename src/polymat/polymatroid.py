@@ -13,10 +13,10 @@ operations package what a theorem of the paper proves, without a scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import accumulate, combinations, islice, permutations, product
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, combinations, compress, permutations, product
 from math import prod
-from operator import itemgetter, le, mul, or_, sub
+from operator import itemgetter, le, lshift, mul, or_
 from typing import Iterable, Iterator
 
 from .core import (
@@ -32,7 +32,6 @@ from .core import (
     set_bits,
     sorted_vectors,
     subset_sums,
-    subsets,
     sum_levels,
 )
 
@@ -259,8 +258,8 @@ def discrete_polymatroid(S: VectorSet | Iterable) -> DiscretePolymatroid:
 
 def _package(n: int, points: frozenset) -> DiscretePolymatroid:
     """A point set proved a discrete polymatroid, with its rank and bases."""
-    rank = max(map(modulus, points))
-    return DiscretePolymatroid(n, points, rank, frozenset(u for u in points if modulus(u) == rank))
+    rank = max(sizes := list(map(modulus, points)))  # compress walks the set in this order
+    return DiscretePolymatroid(n, points, rank, frozenset(compress(points, map(rank.__eq__, sizes))))
 
 
 def bases(P: DiscretePolymatroid) -> BaseSet:
@@ -467,10 +466,8 @@ def _max_subset_sums(vectors, n: int) -> tuple:
     """
     _check_table(n, len(vectors))
     width = (max(map(sum, vectors), default=0).bit_length() + 8) // 8
-    one, zero = (1).to_bytes(width, "little"), bytes(width)
-    guard = int.from_bytes((zero[1:] + b"\x80") * (1 << n), "little")
-    stripes = [(zero * (1 << i) + one * (1 << i)) * (1 << n - 1 - i) for i in range(n)]
-    units = [int.from_bytes(s, "little") for s in stripes]  # a one in each field holding i
+    guard, outs, _ = _field_guards(n, width)
+    units = [(guard ^ out) >> 8 * width - 1 for _, out in outs]  # a one in each field holding i
     best = 0
     for u in vectors:
         table = sum(map(mul, u, units))
@@ -481,36 +478,51 @@ def _max_subset_sums(vectors, n: int) -> tuple:
 
 
 def validate_rank_function(rho: RankFunction) -> Verdict:
-    """Check rho(empty) = 0, monotonicity and submodularity.
+    """Check rho(empty) = 0, monotonicity and submodularity, the latter
+    through decreasing marginal gains (quadratic, not exponential, in n).
 
-    Witnesses: ("empty",), ("monotone", A, B) with A subset of B but
-    rho(A) > rho(B), or ("submodular", A, B) violating the submodular
-    inequality.  Submodularity is checked through decreasing marginal
-    gains, which is equivalent and quadratic instead of exponential in
-    the number of subset pairs.
+    Witnesses: ("empty",), ("monotone", A, A + i) with rho(A) > rho(A + i),
+    or ("submodular", A + i, A + j) with rho(A + i) + rho(A + j) < rho(A + i
+    + j) + rho(A), for i < j outside A; the least failing (A, i) or (A, i,
+    j), every monotone failure first.  rho(A) - min(rho) fills field A of
+    one int, in whole bytes with two top bits clear, so each i, and each i <
+    j, is one guarded subtraction of shifted copies, whose cleared guard
+    bits in the fields A without i (and j) are the failures.
     """
-    if rho.values[0] != 0:
+    vals, n = rho.values, rho.n
+    if vals[0] != 0:
         return Verdict(False, ("empty",))
-    n = rho.n
-    vals = rho.values
-    for mask in subsets(n):
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit:
-                if vals[mask] > vals[mask | bit]:
-                    return Verdict(False, ("monotone", mask, mask | bit))
-    for mask in subsets(n):
-        for i in range(n):
-            bi = 1 << i
-            if mask & bi:
-                continue
-            for j in range(i + 1, n):
-                bj = 1 << j
-                if mask & bj:
-                    continue
-                if vals[mask | bi] + vals[mask | bj] < vals[mask | bi | bj] + vals[mask]:
-                    return Verdict(False, ("submodular", mask | bi, mask | bj))
-    return Verdict(True)
+    low = min(vals)
+    width = ((max(vals) - low).bit_length() + 9) // 8
+    g = int.from_bytes(b"".join([(v - low).to_bytes(width, "little") for v in vals]), "little")
+    guard, outs, pairs = _field_guards(n, width)
+    up = [g >> shift for shift, _ in outs]
+    fails = [~((u | guard) - g) & out for u, (_, out) in zip(up, outs)]
+    if any(fails):
+        kind, steps = "monotone", [(0, 1 << i) for i in range(n)]
+    else:
+        fails = [~(((up[i] + up[j]) | guard) - g - (up[i] >> s)) & a & b for i, j, s, a, b in pairs]
+        if not any(fails):
+            return Verdict(True)
+        kind, steps = "submodular", [(1 << i, 1 << j) for i, j, *_ in pairs]
+    first = reduce(or_, fails)
+    first &= -first
+    mask = (first.bit_length() - 1) // (8 * width)
+    a, b = next(step for step, fail in zip(steps, fails) if fail & first)
+    return Verdict(False, (kind, mask | a, mask | b))
+
+
+@lru_cache(maxsize=None)
+def _field_guards(n: int, width: int) -> tuple[int, list, list]:
+    """(guard, outs, pairs) on 2^n fields of width bytes: the top bit of every
+    field; for each i, the shift that moves field A + i to A and the top bits
+    of the fields A without i; for each i < j, i, j, j's shift and the top
+    bits without i and without j (shared, so n + 1 masks are kept)."""
+    top = bytes(width - 1) + b"\x80"
+    outs = [(top * (1 << i) + bytes(width << i)) * (1 << n - 1 - i) for i in range(n)]
+    outs = [(8 * width << i, int.from_bytes(out, "little")) for i, out in enumerate(outs)]
+    pairs = [(i, j, outs[j][0], outs[i][1], outs[j][1]) for i, j in combinations(range(n), 2)]
+    return int.from_bytes(top * (1 << n), "little"), outs, pairs
 
 
 def rank_table_fits(n: int, count: int) -> bool:
@@ -522,6 +534,26 @@ def rank_table_fits(n: int, count: int) -> bool:
     """
     cap = max_points()
     return n < cap.bit_length() and (count + n * n) << n <= cap
+
+
+def _residual(r: tuple, n: int) -> tuple[int, int, int]:
+    """(table, bias, bits): r on [n] as one int, r(A) + bias under a guard bit
+    in the field of bits bits at rev(A), the bits of A reversed, so g(B) is
+    the low half and g(B + next) the high half.  A residual g(A) is the least
+    r(A + S) - x(S) over the masks S of a prefix x with x(S) <= r(S), and
+    g(A + next) - v, for v <= g(next), one of x extended by v; both are at
+    least min(r) - max(r, 0), which the bias max(r, 0) - min(r, 0) offsets."""
+    bias = max(*r, 0) - min(*r, 0)
+    bits = (max(*r, 0) + bias).bit_length() + 1
+    shifts, ones = _reversed_fields(n, bits)
+    return sum(map(lshift, r, shifts)) + bias * ones, bias, bits
+
+
+@lru_cache(maxsize=None)
+def _reversed_fields(n: int, bits: int) -> tuple[list[int], int]:
+    """(where the field at rev(A) starts for each mask A, a one in every field)."""
+    shifts = [bits * int(f"{mask:0{n}b}"[::-1], 2) for mask in range(1 << n)]
+    return shifts, sum(1 << shift for shift in shifts)
 
 
 def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
@@ -538,17 +570,8 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     coordinates left, the next takes [lo, hi] and the one after, at v,
     [max(floor, gap - v), min(ceil, top - v)], off four entries of the
     state; :func:`_last_two` sums those widths in closed form.  Every
-    inequality is checked: no use is made of submodularity.
-
-    A table is one int: g(A) plus a bias, under a guard bit, fills the
-    field at rev(A), the bits of A reversed.  So g(B) is the low half of
-    the int and g(B + next) the high half, and g' is one subtraction with
-    the guard bits set, whose guard bits left pick the minimum.  A state
-    comes from a prefix x >= 0 with x(S) <= t*rho(S) on the masks S of the
-    fixed coordinates, g(A) being the least t*rho(A + S) - x(S), and the
-    prefix extended by v is one too.  So g(A) and g(A + next) - v are both
-    at least min(t*rho) - max(t*rho, 0), and the bias max(t*rho, 0) -
-    min(t*rho, 0) keeps every field nonnegative.
+    inequality is checked: no use is made of submodularity.  A state is one
+    :func:`_residual` int, so g' is one guarded subtraction.
 
     Returns None when more than ``limit`` prefixes of n - 2 coordinates
     are due (each state times its interval's width), before counting
@@ -566,14 +589,9 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         return 1
     if n == 2:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    bias = max(*r, 0) - min(*r, 0)
-    bits = (max(*r, 0) + bias).bit_length() + 1
+    table, bias, bits = _residual(r, n)
     field = (1 << bits - 1) - 1
-    packed = [v + bias for v in r]
-    for k in range(n):  # mask bit n - 1 - k becomes bit k of the field index
-        half = len(packed) // 2
-        packed = [a | b << (bits << k) for a, b in zip(packed[:half], packed[half:])]
-    states = {packed[0]: 1}
+    states = {table: 1}
     for left in range(n - 3, -1, -1):
         shift = bits << left + 2
         rest, full = shift - bits, 2 * shift - bits  # where g(rest) and rem sit; g(next) at shift
@@ -628,27 +646,33 @@ def membership(rho: RankFunction, u: Vector) -> bool:
     return all(map(le, subset_sums(u), rho.values))
 
 
-def _prefixes(upper, depth: int, x: Vector = (), sums: tuple = (0,)) -> Iterator[Vector]:
-    """Every x >= 0 on the first depth coordinates with x(A) <= upper[A]
-    for each mask A inside them, lexicographically.
-
-    Coordinate k ranges up to the bound that the masks with top element k
-    leave, given the subset sums of the prefix.
-    """
-    k = len(x)
-    if k == depth:
-        yield x
-        return
-    bit = 1 << k
-    for v in range(min(map(sub, upper[bit : 2 * bit], sums)) + 1):
-        yield from _prefixes(upper, depth, x + (v,), sums + tuple([s + v for s in sums]))
-
-
 def _points_within(values: tuple, n: int) -> frozenset:
-    """All u >= 0 with u(A) <= values[A] for every mask A."""
-    points = frozenset(islice(_prefixes(values, n), max_points() + 1))
-    check_cap(len(points), "polymatroid enumeration")
-    return points
+    """All u >= 0 with u(A) <= values[A] for every nonempty mask A, listed
+    coordinate by coordinate on :func:`_residual` tables: the next takes
+    [0, g(next)], and the last builds no table.  Each level is refused past
+    the size cap before it is listed; every prefix of a monotone table
+    extends by zeros, so it is refused iff its points pass the cap."""
+    table, bias, bits = _residual(values, n)
+    field, cap, level = (1 << bits - 1) - 1, max_points(), [((), table)]
+    for left in range(n - 1, -1, -1):
+        shift = bits << left  # where g(next) sits
+        tops = [(g >> shift & field) - bias + 1 for _, g in level]
+        if sum(top for top in tops if top > 0) > cap:
+            raise SizeCapExceeded(f"polymatroid enumeration needs more than {cap} points, cap is {cap}")
+        if not left:
+            break
+        low, children = (1 << shift) - 1, []
+        ones = low // ((1 << bits) - 1)
+        guard = ones << bits - 1
+        for (x, g), top in zip(level, tops):
+            keep, drop = g & low, g >> shift
+            lifted = keep | guard
+            for v in range(top):
+                less = (lifted - drop) & guard
+                children.append((x + (v,), keep ^ ((keep ^ drop) & (less - (less >> bits - 1)))))
+                drop -= ones
+        level = children
+    return frozenset([x + (v,) for (x, _), top in zip(level, tops) for v in range(top)])
 
 
 def polymatroid_from_rank(rho: RankFunction) -> DiscretePolymatroid:

@@ -321,6 +321,19 @@ def test_construct_borel_cap_boundary(capsys, monkeypatch):
     assert len(report["result"]["vectors"]) == 7
 
 
+def test_rank_function_document_cap_boundary(capsys, monkeypatch, tmp_path):
+    # u1, u2 <= 3 on [2]: 16 points, listed at a cap of 16 and refused at 15
+    rho = write(tmp_path, "rho.json", {"kind": "rank-function", "n": 2, "values": [0, 3, 3, 6]})
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "16")
+    code, report = run(capsys, "bases", rho)
+    assert code == 0
+    assert report["result"]["vectors"] == [[3, 3]]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "15")
+    code, report = run(capsys, "bases", rho)
+    assert code == 2
+    assert report["error"] == "polymatroid enumeration needs more than 15 points, cap is 15"
+
+
 def test_structure_verbs(capsys, tmp_path):
     seg = write(
         tmp_path, "seg.json", {"kind": "vector-set", "n": 2, "vectors": [[0, 0], [1, 0], [0, 1]]}

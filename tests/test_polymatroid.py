@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from operator import add
@@ -261,6 +262,41 @@ def test_validate_rank_function_examples():
     assert not validate_rank_function(RankFunction(2, (0, 2, 1, 1)))
 
 
+def test_validate_rank_function_matches_the_loops(instance_pool, positive_pool):
+    # the pools' rank functions, and scaled rank functions (fields of one to
+    # three bytes) with the empty entry changed, entries lowered (some below
+    # zero), the full entry raised, or every entry lowered
+    tables = [rho for rho, _ in instance_pool + positive_pool]
+    rng = Random(29)
+    for _ in range(2400):
+        n = rng.randint(1, 6)
+        scale = rng.choice((1, 1, 47, 300, 40_000))
+        values = [scale * v for v in random_rank_function(rng, n, rng.randint(1, 5)).values]
+        how = rng.randrange(5)
+        if how == 1:
+            values[0] = rng.choice((-1, 1)) * rng.randint(1, scale)
+        elif how == 2:
+            for _ in range(rng.randint(1, 2)):
+                values[rng.randrange(1, 1 << n)] -= rng.randint(1, 2 * scale)
+        elif how == 3:
+            values[-1] += rng.randint(1, scale)
+        elif how == 4:
+            values = [0] + [v - rng.randint(0, scale) for v in values[1:]]
+        tables.append(RankFunction(n, tuple(values)))
+    kinds, wide, negative = Counter(), Counter(), Counter()
+    for rho in tables:
+        verdict = validate_rank_function(rho)
+        assert (verdict.holds, verdict.witness) == oracles.validate_rank_function(rho.values, rho.n), rho
+        kind = verdict.witness and verdict.witness[0]
+        kinds[kind] += 1
+        wide[kind] += max(rho.values) >= 128
+        negative[kind] += min(rho.values) < 0
+    assert min(kinds[kind] for kind in (None, "empty", "monotone", "submodular")) >= 300
+    assert min(wide[kind] for kind in (None, "empty", "monotone", "submodular")) >= 100
+    # below a zero empty entry, a negative entry fails monotonicity first
+    assert min(negative[kind] for kind in ("empty", "monotone")) >= 200
+
+
 def test_polymatroid_from_rank_examples():
     P = cube(3, 3)
     assert P.points == oracles.downward_closure(
@@ -275,6 +311,19 @@ def test_polymatroid_from_rank_examples():
     assert P2.points == {
         u for u in oracles.downward_closure([(1, 2, 2)]) if sum(u) <= 2 and u[0] <= 1
     }
+
+
+def test_polymatroid_from_rank_cap_boundary(monkeypatch, instance_pool):
+    # accepted at a cap of |P| points, refused at |P| - 1 with the cap named
+    tables = [RankFunction(2, (0, 3, 3, 6)), constant_rank(3, 3)] + [rho for rho, _ in instance_pool]
+    for rho in tables:
+        size = len(oracles.points_under(rho.values, rho.n))
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(size))
+        assert len(polymatroid_from_rank(rho)) == size
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(size - 1))
+        message = f"polymatroid enumeration needs more than {size - 1} points, cap is {size - 1}"
+        with pytest.raises(SizeCapExceeded, match=re.escape(message)):
+            polymatroid_from_rank(rho)
 
 
 def test_polymatroid_from_rank_rejects_invalid():
@@ -743,8 +792,11 @@ def test_count_bases_refuses_a_rank_function_at_the_first_level_past_the_limit(m
 
 
 def test_points_within_matches_oracle(instance_pool, positive_pool):
-    # the pools' rank functions, and the tables hull_consistency builds for
-    # random vector sets, many of them not submodular
+    # the pools' rank functions, the tables hull_consistency builds for
+    # random vector sets, many of them not submodular, and rank functions
+    # with entries lowered, some below zero: not monotone, so residual entries
+    # reach down to min(values) - max(values, 0), which a bias of -min(values)
+    # alone would not lift to zero
     tables = [(rho.values, rho.n) for rho, _ in instance_pool + positive_pool]
     rng = Random(5)
     others = []
@@ -753,5 +805,15 @@ def test_points_within_matches_oracle(instance_pool, positive_pool):
         vectors = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))]
         others.append((oracles.rank_values(vectors, n), n))
     assert sum(not validate_rank_function(RankFunction(n, v)) for v, n in others) >= 50
+    lowered = []
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        values = list(random_rank_function(rng, n, rng.randint(1, 4)).values)
+        for _ in range(rng.randint(1, 3)):
+            values[rng.randrange(1, 1 << n)] -= rng.randint(1, 3)
+        lowered.append((tuple(values), n))
+    assert sum(min(values) < 0 for values, _ in lowered) >= 500
     for values, n in tables + others:
         assert polymatroid._points_within(values, n) == oracles.points_under(values, n)
+    for values, n in tables + others + lowered:
+        assert polymatroid._points_within(values, n) == oracles.points_within(values, n), (values, n)
