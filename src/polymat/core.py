@@ -125,17 +125,6 @@ def exchange_step(u: Vector, i: int, j: int) -> Vector:
     return tuple(w)
 
 
-def deal(u: Vector, v: Vector) -> tuple[Vector, Vector]:
-    """u and v sorted, as :func:`exchange.sort_pair` deals them, unchecked."""
-    a, b, odd = [], [], 0  # odd: whether the positions dealt so far are odd in number
-    for x, y in zip(u, v):
-        c = x + y
-        a.append((c + 1 - odd) >> 1)
-        b.append(c - a[-1])
-        odd ^= c & 1
-    return tuple(a), tuple(b)
-
-
 def packer(vectors, t_max: int):
     """Carry-free integer packing for sums of up to t_max of the vectors.
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .core import Vector, Verdict, deal, exchange_step, modulus, set_bits
+from .core import Vector, Verdict, exchange_step, modulus, set_bits
 from .polymatroid import BaseSet, _deficits, _exchange_failure, is_base_set
 
 
@@ -75,15 +75,18 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
 def sort_pair(u: Vector, v: Vector) -> tuple[Vector, Vector]:
     """Merge the two index multisets and deal them out alternately.
 
-    The combined multiset of u + v is listed in nondecreasing index
-    order; the odd positions rebuild the first output, the even
-    positions the second.  Idempotent, and preserves the sum u + v.
+    The combined multiset of u + v is listed in nondecreasing index order;
+    the odd positions rebuild the first output, whose prefix sums are thus
+    ceil(S_k / 2) of u + v's S_k, the even ones the second.  Idempotent, and
+    preserves the sum u + v.
     """
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     if modulus(u) != modulus(v):
         raise ValueError("sorting requires equal moduli")
-    return deal(u, v)
+    halves = [(s + 1) >> 1 for s in accumulate(map(sum, zip(u, v)))]
+    first = tuple(h - g for g, h in zip([0, *halves], halves))
+    return first, tuple(a + b - c for a, b, c in zip(u, v, first))
 
 
 def is_sorted(u: Vector, v: Vector) -> bool:

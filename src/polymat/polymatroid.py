@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, compress, permutations, product
+from itertools import combinations_with_replacement as multisets
 from math import prod
 from operator import itemgetter, le, lshift, mul, or_
 from typing import Iterable, Iterator
@@ -25,7 +26,6 @@ from .core import (
     Verdict,
     as_vector,
     check_cap,
-    deal,
     max_points,
     modulus,
     packer,
@@ -108,13 +108,18 @@ class BaseSet(VectorSet):
         return _exchange_failure(self, "base")
 
     @cached_property
+    def _pairs(self) -> tuple:
+        """:func:`_fiber_sums` of degree 2, built once per base set."""
+        return _fiber_sums(self._swaps[0], 2)
+
+    @cached_property
     def _sortable_verdict(self) -> Verdict:
         """:func:`_sort_failure`'s verdict, decided once per base set."""
         return _sort_failure(self)
 
     @cached_property
     def _moves(self) -> dict:
-        """:mod:`polymat.toric`'s symmetric-move tables, by move generator."""
+        """:mod:`polymat.toric`'s symmetric moves and what it reads off them, by move generator."""
         return {}
 
 
@@ -392,32 +397,47 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     return Verdict(True)
 
 
+def _fiber_sums(ordered: tuple, m: int) -> tuple:
+    """(bases, fibers, ones, keep) for the degree-m multisets of the sorted
+    bases: their prefix sums packed, the first most significant, in fields
+    holding the sum of m under a spare top bit, so sums add and order as the
+    vectors do; (s, index tuples of sum s) by s; a 1 per field; all but tops."""
+    width = (m * max(map(sum, ordered))).bit_length() + 1
+    places = range(width * len(ordered[0]) - width, -1, -width)
+    packed = [sum(map(lshift, accumulate(u), places)) for u in ordered]
+    groups: dict = {}
+    for combo, s in zip(multisets(range(len(ordered)), m), map(sum, multisets(packed, m))):
+        groups.setdefault(s, []).append(combo)
+    ones = sum(1 << place for place in places)
+    return set(packed), sorted(groups.items()), ones, ones * ((1 << width - 1) - 1)
+
+
 def _sort_failure(B: BaseSet) -> Verdict:
-    """Is B closed under sorting?  Witness: the first pair u < v whose sorted
-    image leaves B (u and u sort to themselves).  The pairs of B pass the
-    checks of :func:`exchange.sort_pair`, so they are dealt unchecked."""
-    vs = B.vectors
-    bad = next((p for p in combinations(B._swaps[0], 2) if not vs.issuperset(deal(*p))), None)
-    return Verdict(bad is None, bad)
+    """Is B closed under sorting?  A pair sorts by its sum: the first image
+    takes the prefix sums ceil(S_k / 2) of the sum's S_k, ((s + ones) >> 1) &
+    keep if packed, so one split per degree-2 fiber decides.  Witness: the
+    least pair u < v whose image leaves B, the least first of a failing fiber."""
+    have, fibers, ones, keep = B._pairs
+    bad = min((ps[0] for s, ps in fibers if {(h := (s + ones) >> 1 & keep), s - h} - have), default=None)
+    return Verdict(bad is None, bad and tuple(B._swaps[0][k] for k in bad))
 
 
 def _symmetric_moves(B: BaseSet) -> list[tuple]:
-    """Every nontrivial symmetric exchange of B, once, as index pairs into
-    sorted(B): ((a, b), (c, d), i, j) for a < b, c <= d, (c, d) != (a, b)
-    and 1-based i, j with u(i) > v(i), u(j) < v(j), u' = u - e_i + e_j and
-    v' = v - e_j + e_i, where u, v, u', v' are the bases at a, b, c, d; in
-    the order of a, b, i and j.  The exchange on v at i' with u at j' is
-    this one at (j', i'), so pairs a < b reach every exchange.  At a, i and
-    j in row(a, i) the b > a are lt[i][a] & gt[j][a] & has[j, i]; c and d
-    are read off the swap rows' steps, so no vector is built.
-    """
+    """The nontrivial symmetric exchanges of B, as index pairs into sorted(B):
+    ((a, b), (c, d), i, j) for a < b, c <= d, (c, d) != (a, b) and 1-based
+    i, j with u(i) > v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j
+    + e_i, u, v, u', v' the bases at a, b, c, d; of those joining two pairs
+    the least by (a, b), i, j, sorted by the pairs, the lesser first.  The
+    exchange on v at i' with u at j' is this one at (j', i'), so pairs a < b
+    reach every exchange, and (c, d) reaches (a, b) iff u(i) - v(i) = v(j) -
+    u(j) = 1.  At a, i and j in row(a, i) the b > a are lt[i][a] & gt[j][a]
+    & has[j, i]; c and d are read off the swap rows' steps."""
     ordered, row, steps = B._swaps
     lt, gt = B._orders
     has = B._has
-    moves = []
-    for a in range(len(ordered)):
+    first: dict = {}
+    for a, u in enumerate(ordered):
         later = -1 << a + 1
-        found = []
         for i, below in lt.items():
             if mine := below[a] & later:
                 for j in set_bits(row(a, i)):
@@ -426,11 +446,12 @@ def _symmetric_moves(B: BaseSet) -> list[tuple]:
                         b = (partners & -partners).bit_length() - 1
                         partners ^= 1 << b
                         if c != b:  # else the exchange swaps u and v
-                            d = steps[b][j][i]
+                            d, left = steps[b][j][i], (a, b)
                             pair = (c, d) if c < d else (d, c)
-                            found.append(((a, b), pair, i + 1, j + 1))
-        moves += sorted(found, key=itemgetter(0))  # stable, so i and j stay in order
-    return moves
+                            if pair > left or u[i] - ordered[b][i] > 1 or ordered[b][j] - u[j] > 1:
+                                key = (left, pair) if pair > left else (pair, left)
+                                first.setdefault(key, (left, pair, i + 1, j + 1))
+    return [first[key] for key in sorted(first)]
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:
@@ -487,29 +508,36 @@ def validate_rank_function(rho: RankFunction) -> Verdict:
     j), every monotone failure first.  rho(A) - min(rho) fills field A of
     one int, in whole bytes with two top bits clear, so each i, and each i <
     j, is one guarded subtraction of shifted copies, whose cleared guard
-    bits in the fields A without i (and j) are the failures.
+    bits in the fields A without i (and j) are the failures.  An axiom's
+    failures are ORed into one int, and sought again only for a witness.
     """
     vals, n = rho.values, rho.n
     if vals[0] != 0:
         return Verdict(False, ("empty",))
     low = min(vals)
     width = ((max(vals) - low).bit_length() + 9) // 8
-    g = int.from_bytes(b"".join([(v - low).to_bytes(width, "little") for v in vals]), "little")
+    data = bytearray(width << n)
+    for k in range(width):
+        data[k::width] = bytes((v - low) >> 8 * k & 255 for v in vals)
+    g = int.from_bytes(data, "little")
+    for kind in ("monotone", "submodular"):
+        if fails := reduce(or_, map(itemgetter(2), _rank_failures(g, n, width, kind)), 0):
+            top = (fails & -fails).bit_length() - 1  # the least failing field's guard bit
+            a, b = next((a, b) for a, b, fail in _rank_failures(g, n, width, kind) if fail >> top & 1)
+            return Verdict(False, (kind, top // (8 * width) | a, top // (8 * width) | b))
+    return Verdict(True)
+
+
+def _rank_failures(g: int, n: int, width: int, kind: str) -> Iterator[tuple[int, int, int]]:
+    """(a, b, guard bits of the fields A where A + a, A + b fail) per step, in witness order."""
     guard, outs, pairs = _field_guards(n, width)
-    up = [g >> shift for shift, _ in outs]
-    fails = [~((u | guard) - g) & out for u, (_, out) in zip(up, outs)]
-    if any(fails):
-        kind, steps = "monotone", [(0, 1 << i) for i in range(n)]
+    if kind == "monotone":
+        for i, (shift, out) in enumerate(outs):
+            yield 0, 1 << i, ~(((g >> shift) | guard) - g) & out
     else:
-        fails = [~(((up[i] + up[j]) | guard) - g - (up[i] >> s)) & a & b for i, j, s, a, b in pairs]
-        if not any(fails):
-            return Verdict(True)
-        kind, steps = "submodular", [(1 << i, 1 << j) for i, j, *_ in pairs]
-    first = reduce(or_, fails)
-    first &= -first
-    mask = (first.bit_length() - 1) // (8 * width)
-    a, b = next(step for step, fail in zip(steps, fails) if fail & first)
-    return Verdict(False, (kind, mask | a, mask | b))
+        for i, j, s, a, b in pairs:
+            up = g >> outs[i][0]
+            yield 1 << i, 1 << j, ~(((up + (g >> s)) | guard) - g - (up >> s)) & a & b
 
 
 @lru_cache(maxsize=None)
@@ -519,8 +547,8 @@ def _field_guards(n: int, width: int) -> tuple[int, list, list]:
     of the fields A without i; for each i < j, i, j, j's shift and the top
     bits without i and without j (shared, so n + 1 masks are kept)."""
     top = bytes(width - 1) + b"\x80"
-    outs = [(top * (1 << i) + bytes(width << i)) * (1 << n - 1 - i) for i in range(n)]
-    outs = [(8 * width << i, int.from_bytes(out, "little")) for i, out in enumerate(outs)]
+    blocks = ((top * (1 << i) + bytes(width << i)) * (1 << n - 1 - i) for i in range(n))  # one at a time
+    outs = [(8 * width << i, int.from_bytes(out, "little")) for i, out in enumerate(blocks)]
     pairs = [(i, j, outs[j][0], outs[i][1], outs[j][1]) for i, j in combinations(range(n), 2)]
     return int.from_bytes(top * (1 << n), "little"), outs, pairs
 

@@ -9,22 +9,30 @@ rank.
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache, reduce
+from operator import mul, or_
 from random import Random
 
-from .core import subset_sums, subsets
+from .core import set_bits
 from .polymatroid import DiscretePolymatroid, RankFunction, polymatroid_from_rank
 
 
-def _coverage(n: int, mask: int, weight: int) -> list[int]:
-    return [weight if x & mask else 0 for x in subsets(n)]
+@lru_cache(maxsize=None)
+def _units(n: int) -> list[int]:
+    """units[i] holds 1 in the fields of the masks holding i, a set function on
+    [n] being one int, its value at mask x in the two-byte field at x.  Values
+    drawn stay at most 12n + 1, so the top bit of a field stays clear."""
+    blocks = ((bytes(2 << i) + b"\x01\x00" * (1 << i)) * (1 << n - 1 - i) for i in range(n))
+    return [int.from_bytes(block, "little") for block in blocks]
 
 
-def _capped_cardinality(n: int, mask: int, cap: int) -> list[int]:
-    return [min((x & mask).bit_count(), cap) for x in subsets(n)]
-
-
-def _capped_modular(n: int, weights: list[int], cap: int) -> list[int]:
-    return [min(total, cap) for total in subset_sums(weights)]
+def _cap(table: int, cap: int, ones: int) -> int:
+    """min(table, cap) field by field: where a field is at least cap, the top
+    bit set over it survives the subtraction and selects the excess."""
+    over = (table | ones << 15) - min(cap, 0x7FFF) * ones
+    high = over & ones << 15
+    return table - (over & high - (high >> 15))
 
 
 def random_rank_function(
@@ -39,32 +47,28 @@ def random_rank_function(
     singleton gets rank at least 1, so all unit vectors belong to the
     polymatroid.
     """
+    units, ones = _units(n), (1 << (16 << n)) // 0xFFFF  # ones: a one in every field
     full = (1 << n) - 1
-    acc = [0] * (1 << n)
-    budget = max_rank - 1 if ensure_positive else max_rank
-    budget = max(budget, 1)
+    budget = max(max_rank - 1 if ensure_positive else max_rank, 1)
+    acc = 0
     if rng.random() < 0.4:
         for _ in range(rng.randint(1, min(5, budget))):
-            piece = _coverage(n, rng.randint(1, full), 1)
-            acc = [a + p for a, p in zip(acc, piece)]
-        values = acc
+            acc += reduce(or_, [units[i] for i in set_bits(rng.randint(1, full))])
     else:
         for _ in range(rng.randint(2, 4)):
             kind = rng.randrange(3)
-            mask = rng.randint(1, full)
+            among = [units[i] for i in set_bits(rng.randint(1, full))]
             if kind == 0:
-                piece = _coverage(n, mask, rng.randint(1, 2))
+                acc += reduce(or_, among) * rng.randint(1, 2)
             elif kind == 1:
-                piece = _capped_cardinality(n, mask, rng.randint(1, 3))
+                acc += _cap(sum(among), rng.randint(1, 3), ones)
             else:
                 weights = [rng.randint(0, 3) for _ in range(n)]
-                piece = _capped_modular(n, weights, rng.randint(1, budget))
-            acc = [a + p for a, p in zip(acc, piece)]
-        cut = rng.randint(1, budget)
-        values = [min(a, cut) for a in acc]
+                acc += _cap(sum(map(mul, weights, units)), rng.randint(1, budget), ones)
+        acc = _cap(acc, rng.randint(1, budget), ones)
     if ensure_positive:
-        values = [a + c for a, c in zip(values, _coverage(n, full, 1))]
-    return RankFunction(n, tuple(values))
+        acc += ones - 1
+    return RankFunction(n, tuple(memoryview(acc.to_bytes(2 << n, sys.byteorder)).cast("H")))
 
 
 def random_polymatroid(

@@ -6,15 +6,15 @@ the matching pair of the other.  Connected fibers in degree m certify
 that the symmetric exchange relations generate the toric ideal up to
 that degree; a disconnected one is a candidate counterexample, never a
 theorem either way.  Multisets are ascending tuples of indices into the
-sorted bases, grouped by a packed sum that orders as the vector sums
-do; the exchanges, index pairs read off the swap rows, go once per base
-set into an undirected table by index pair, kept on it with the move
-list and the degrees searched.  Index pairs order as their vectors do, so
-relations are sorted by index and each one's vectors are built once.
+sorted bases, grouped by a packed sum; the base set keeps degree 2.  The
+exchanges, index pairs read off the swap rows, are listed once per base
+set, one per relation and in relation order; an undirected table of them
+is built only where a search reads it.
 
-Degree 2 is searched breadth first.  Above it two results do the work,
-both for any move set.  A sortable base set has a quadratic Groebner
-basis of sorting binomials (Sturmfels, Groebner Bases and Convex
+Moves never leave a fiber, so degree 2 is decided by the components of
+the move list, each rooted at its least pair.  Above it two results do
+the work, both for any move set.  A sortable base set has a quadratic
+Groebner basis of sorting binomials (Sturmfels, Groebner Bases and Convex
 Polytopes, 1996, Thm 14.2), so pair swaps inside degree-2 fibers connect
 every fiber of every degree; once the moves connect each degree-2 fiber,
 each such swap is a chain of moves, and every fiber is connected.  On
@@ -29,12 +29,12 @@ fails, that degree is searched breadth first, the only exact method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
-from .core import SizeCapExceeded, Vector, Verdict, check_cap, packer, sorted_vectors
+from .core import SizeCapExceeded, Vector, Verdict, check_cap
 from .exchange import is_sortable
-from .polymatroid import BaseSet, _symmetric_moves, is_base_set
+from .polymatroid import BaseSet, _fiber_sums, _symmetric_moves, is_base_set
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,12 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
 
     Relations are identified up to swapping within either unordered
     pair and up to flipping the two sides; relations whose sides agree
-    as multisets are dropped.  Moves are deduplicated and sorted as index
-    pairs, and each relation's vectors are built once, from its first move.
+    as multisets are dropped.  The moves come one per relation, in order.
     """
-    moves, ordered, _, _ = _move_entry(B)
-    out: dict = {}
-    for left, right, i, j in moves:
-        out.setdefault((left, right) if left < right else (right, left), (left, right, i, j))
+    ordered = B._swaps[0]
     return tuple(
         ExchangeRelation((ordered[a], ordered[b]), (ordered[c], ordered[d]), i, j)
-        for (a, b), (c, d), i, j in map(out.__getitem__, sorted(out))
+        for (a, b), (c, d), i, j in _move_entry(B)["moves"]
     )
 
 
@@ -99,15 +95,9 @@ def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None
     check_cap(comb(len(B.vectors) + m - 1, m), "fiber enumeration")
 
 
-def _fiber_groups(ordered: tuple, m: int) -> list[list[tuple[int, ...]]]:
-    """The degree-m multisets of ordered as ascending index tuples, grouped
-    by vector sum; groups in order of their sums, members in order."""
-    _, _, packed = packer(ordered, m)
-    grouped: dict[int, list] = {}
-    combos = combinations_with_replacement(range(len(ordered)), m)
-    for combo, key in zip(combos, map(sum, combinations_with_replacement(packed, m))):
-        grouped.setdefault(key, []).append(combo)
-    return [grouped[key] for key in sorted(grouped)]
+def _fiber_groups(B: BaseSet, m: int) -> list[list[tuple[int, ...]]]:
+    """The degree-m multisets of B as ascending index tuples, grouped by vector sum, all in order."""
+    return [members for _, members in (B._pairs if m == 2 else _fiber_sums(B._swaps[0], m))[1]]
 
 
 def _vectors(ordered: tuple, member: tuple[int, ...]) -> tuple[Vector, ...]:
@@ -117,19 +107,19 @@ def _vectors(ordered: tuple, member: tuple[int, ...]) -> tuple[Vector, ...]:
 def fibers(B: BaseSet, m: int, *, max_base_size: int = 64, max_degree: int = 4) -> list[Fiber]:
     """Partition the degree-m multisets of B by their vector sum."""
     _check_caps(B, m, max_base_size, max_degree)
-    ordered = sorted_vectors(B.vectors)
-    groups = [tuple(_vectors(ordered, mem) for mem in group) for group in _fiber_groups(ordered, m)]
+    ordered = B._swaps[0]
+    groups = [tuple(_vectors(ordered, mem) for mem in group) for group in _fiber_groups(B, m)]
     return [Fiber(m, tuple(map(sum, zip(*group[0]))), group) for group in groups]
 
 
-def _move_table(moves) -> dict:
-    """Index-pair moves both ways: table[(a, b)] holds each (c, d) one
-    exchange from (a, b), every pair ascending."""
-    table: dict[tuple[int, int], set] = {}
-    for left, right, _, _ in moves:
-        table.setdefault(left, set()).add(right)
-        table.setdefault(right, set()).add(left)
-    return table
+def _move_table(entry: dict) -> dict:
+    """The entry's moves both ways, kept once read: table[(a, b)] holds each (c, d) one move away."""
+    if "table" not in entry:
+        table = entry["table"] = {}
+        for left, right, _, _ in entry["moves"]:
+            table.setdefault(left, set()).add(right)
+            table.setdefault(right, set()).add(left)
+    return entry["table"]
 
 
 def _adjacent(member: tuple[int, ...], table: dict):
@@ -142,10 +132,10 @@ def _adjacent(member: tuple[int, ...], table: dict):
 
 def fiber_graph(B: BaseSet, fiber: Fiber) -> FiberGraph:
     """Explicit vertices and exchange-move edges of one fiber, from the
-    move table B keeps.  Raises ValueError when B is not a base set, a
+    moves' table B keeps.  Raises ValueError when B is not a base set, a
     member holds a vector outside B or the fiber lacks a multiset one
     exchange from a member."""
-    _, ordered, table, _ = _move_entry(B)
+    table, ordered = _move_table(_move_entry(B)), B._swaps[0]
     index = {v: k for k, v in enumerate(ordered)}
     if not all(v in index for mem in fiber.members for v in mem):
         raise ValueError("fiber member holds a vector outside the base set")
@@ -193,26 +183,28 @@ def _unshared(members: list, table: dict) -> tuple | None:
     return None
 
 
-def _move_entry(B: BaseSet) -> tuple:
-    """(moves, sorted bases, move table, :func:`_first_split` by (degree,
-    search)) of a proved base set B, kept on B once per move generator."""
+def _move_entry(B: BaseSet) -> dict:
+    """The moves of a proved base set B, kept on B per move generator with what is read off them."""
     verdict = is_base_set(B)
     if not verdict:
         raise ValueError(f"not a valid base set: witness {verdict.witness}")
-    entry = B._moves.get(_symmetric_moves)
-    if entry is None:
-        moves = list(_symmetric_moves(B))
-        entry = B._moves[_symmetric_moves] = (moves, B._swaps[0], _move_table(moves), {})
-    return entry
+    if _symmetric_moves not in B._moves:
+        B._moves[_symmetric_moves] = {"moves": list(_symmetric_moves(B))}
+    return B._moves[_symmetric_moves]
 
 
-def _first_split(ordered: tuple, m: int, search, table: dict) -> tuple | None:
-    """(least member, least unreached one) of the first disconnected
-    degree-m fiber under search, or None when all are connected."""
-    for members in _fiber_groups(ordered, m):
-        if (other := search(members, table)) is not None:
-            return members[0], other
-    return None
+def _pair_split(fibers: list, moves: list) -> tuple | None:
+    """(least member, least one outside its component) of the first degree-2
+    fiber the moves split, or None; a component is rooted at its least pair."""
+    root: dict = {}
+    for left, right, _, _ in moves:
+        while left in root:
+            left = root[left]
+        while right in root:
+            right = root[right]
+        if left != right:
+            root[max(left, right)] = min(left, right)
+    return next(((first, p) for _, (first, *rest) in fibers for p in rest if p not in root), None)
 
 
 def white_check(
@@ -224,35 +216,34 @@ def white_check(
     degree m; a False verdict returns (total, member_a, member_b) for the
     least multiset of the first disconnected fiber and the least one it cannot
     reach, a candidate counterexample to generation by symmetric exchanges.
-    Degree 2 is searched breadth first.  Above it, a sortable B whose degree 2
-    is connected holds by the sorting theorem (Sturmfels 1996, Thm 14.2): pair
-    swaps connect all its fibers, and each swap is a chain of moves.  On other
-    sets, while the degree below is connected, members that share a base are
-    connected and every move keeps a base, so fibers are split by shared
-    bases; once a lower degree fails, degree m is searched breadth first.
-    The moves, their index table and the lower-degree verdicts are built once
-    per base set.
+    Degree 2 is read off the components of the moves; above it a sortable B
+    holds by the sorting theorem, other fibers are split by shared bases
+    while the degree below is connected and searched breadth first once it
+    is not (see the module docstring).  The moves, the splits found and the
+    moves' table, if read, are built once per base set.
     """
     if m < 2:
         raise ValueError(f"connectivity is only meaningful for degree >= 2, got {m}")
     _check_caps(B, m, max_base_size, max_degree)
-    _, ordered, table, splits = _move_entry(B)
+    entry = _move_entry(B)
 
-    def split_at(d: int, search) -> tuple | None:
-        if (d, search) not in splits:
-            splits[d, search] = _first_split(ordered, d, search, table)
-        return splits[d, search]
+    def split_at(d: int, search, table: dict) -> tuple | None:
+        if (d, search) not in entry:
+            found = ((ms[0], search(ms, table)) for ms in _fiber_groups(B, d))
+            entry[d, search] = next((split for split in found if split[1] is not None), None)
+        return entry[d, search]
 
-    degree = 2
-    split = split_at(degree, _unreached)
+    if 2 not in entry:
+        entry[2] = _pair_split(B._pairs[1], entry["moves"])
+    degree, split = 2, entry[2]
     if split is None and m > 2 and is_sortable(B):
         return Verdict(True)
     while split is None and degree < m:
         degree += 1
-        split = split_at(degree, _unshared)
+        split = split_at(degree, _unshared, {})
     if split is not None and degree < m:
-        split = split_at(m, _unreached)
+        split = split_at(m, _unreached, _move_table(entry))
     if split is None:
         return Verdict(True)
-    a, b = (_vectors(ordered, mem) for mem in split)
+    a, b = (_vectors(B._swaps[0], mem) for mem in split)
     return Verdict(False, (tuple(map(sum, zip(*a))), a, b))

@@ -742,6 +742,63 @@ def index_moves(vectors):
     return out
 
 
+def deal(u, v):
+    """u and v sorted by dealing their merged index multiset alternately,
+    carrying the parity of the positions dealt so far: the kernel of the
+    pair loop that the split of a fiber's sum replaced."""
+    a, b, odd = [], [], 0
+    for x, y in zip(u, v):
+        c = x + y
+        a.append((c + 1 - odd) >> 1)
+        b.append(c - a[-1])
+        odd ^= c & 1
+    return tuple(a), tuple(b)
+
+
+def dealt_sort_failure(vectors):
+    """The first pair u < v of the sorted set whose dealt image leaves it,
+    or None, by the pair loop that the degree-2 fibers replaced."""
+    vs = set(vectors)
+    return next(((u, v) for u, v in combinations(sorted(vs), 2) if not vs.issuperset(deal(u, v))), None)
+
+
+def degree_two_split(vectors, moves):
+    """(least member, least member unreached from it) of the first degree-2
+    fiber that the index-pair moves, taken both ways, leave disconnected, or
+    None, by the breadth-first search that the move components replaced:
+    the pairs a <= b into the sorted set, grouped by vector sum."""
+    ordered = sorted(set(vectors))
+    table = {}
+    for left, right, *_ in moves:
+        table.setdefault(left, set()).add(right)
+        table.setdefault(right, set()).add(left)
+    groups = {}
+    for a, b in combinations_with_replacement(range(len(ordered)), 2):
+        groups.setdefault(tuple(x + y for x, y in zip(ordered[a], ordered[b])), []).append((a, b))
+    for total in sorted(groups):
+        members = groups[total]
+        seen, queue = {members[0]}, [members[0]]
+        for pair in queue:
+            for other in table.get(pair, ()):
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        if len(seen) < len(members):
+            return members[0], min(set(members) - seen)
+    return None
+
+
+def relation_moves(moves):
+    """One move for each two pairs that moves join, in relation order: of
+    those joining them, the least by (left pair, i, j), sorted by the two
+    pairs, the lesser first.  Takes the moves of :func:`index_moves` or of
+    :func:`symmetric_moves`, whose pairs order alike."""
+    first = {}
+    for left, right, i, j in sorted(moves):
+        first.setdefault(tuple(sorted((left, right))), (left, right, i, j))
+    return [first[key] for key in sorted(first)]
+
+
 def in_scaled_hull(points, target, scale):
     """target in scale * conv(points), by the phase-one simplex over
     Fraction that the integer tableau replaced: one row per coordinate of
@@ -834,3 +891,55 @@ def validate_rank_function(values, n):
                 if values[mask | bi] + values[mask | bj] < values[mask | bi | bj] + values[mask]:
                     return False, ("submodular", mask | bi, mask | bj)
     return True, None
+
+
+def subset_sum_list(u):
+    """u(A) for every mask A, by doubling the list of sums one entry at a time."""
+    sums = [0]
+    for e in u:
+        sums += [s + e for s in sums]
+    return sums
+
+
+def _coverage(n, mask, weight):
+    return [weight if x & mask else 0 for x in range(1 << n)]
+
+
+def _capped_cardinality(n, mask, cap):
+    return [min((x & mask).bit_count(), cap) for x in range(1 << n)]
+
+
+def _capped_modular(n, weights, cap):
+    return [min(total, cap) for total in subset_sum_list(weights)]
+
+
+def random_rank_function(rng, n, max_rank, ensure_positive=False):
+    """The values of the rank function that the packed builder draws, by
+    the list builder it replaced: each piece a list over the 2^n masks,
+    with the same rng calls in the same order."""
+    full = (1 << n) - 1
+    acc = [0] * (1 << n)
+    budget = max_rank - 1 if ensure_positive else max_rank
+    budget = max(budget, 1)
+    if rng.random() < 0.4:
+        for _ in range(rng.randint(1, min(5, budget))):
+            piece = _coverage(n, rng.randint(1, full), 1)
+            acc = [a + p for a, p in zip(acc, piece)]
+        values = acc
+    else:
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.randrange(3)
+            mask = rng.randint(1, full)
+            if kind == 0:
+                piece = _coverage(n, mask, rng.randint(1, 2))
+            elif kind == 1:
+                piece = _capped_cardinality(n, mask, rng.randint(1, 3))
+            else:
+                weights = [rng.randint(0, 3) for _ in range(n)]
+                piece = _capped_modular(n, weights, rng.randint(1, budget))
+            acc = [a + p for a, p in zip(acc, piece)]
+        cut = rng.randint(1, budget)
+        values = [min(a, cut) for a in acc]
+    if ensure_positive:
+        values = [a + c for a, c in zip(values, _coverage(n, full, 1))]
+    return tuple(values)

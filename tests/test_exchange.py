@@ -2,6 +2,7 @@ import dataclasses
 import time
 from collections import Counter
 from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,9 +221,10 @@ def test_one_item_builds_each_swap_row_once(monkeypatch):
 
 def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     """The calls of one exchange item share the base set's symmetric moves,
-    its base-set and sortable verdicts and the fiber searches:
-    white_check(B, 3) reads the degree-2 verdict that white_check(B, 2)
-    found and, the set being sortable, searches no degree-3 fiber.  Weak and
+    its base-set and sortable verdicts and the fiber splits: white_check(B,
+    2) splits the degree-2 fibers into move components once,
+    white_check(B, 3) reads that verdict and, the set being sortable,
+    searches no degree-3 fiber; no move table is built.  Weak and
     symmetric exchange follow from the verdict, so only strong mode scans; a
     Veronese set, the bases of a polymatroid and its lift carry the verdict
     and need no proof at all."""
@@ -241,7 +243,9 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
     for name in ("validate_rank_function", "count_bases"):
         spy(polymatroid, name, lambda args: calls.update(["proof"]))
     spy(polymatroid, "_sort_failure", lambda args: calls.update(["sortable"]))
-    spy(toric, "_first_split", lambda args: splits.append((args[1], args[2].__name__)))
+    spy(toric, "_pair_split", lambda args: splits.append(2))
+    spy(toric, "_fiber_groups", lambda args: splits.append(args[1]))
+    spy(toric, "_move_table", lambda args: splits.append("table"))
     for module in (exchange, polymatroid):
         spy(module, "_exchange_failure", lambda args: calls.update([args[1]]))
 
@@ -255,7 +259,7 @@ def test_one_item_enumerates_moves_and_proves_the_base_set_once(monkeypatch):
         white_check(B, 2)
         white_check(B, 3)
         rewrite_balanced(sorted(B.vectors)[::7], B)
-        assert splits == [(2, "_unreached")]
+        assert splits == [2]
 
     B = veronese((2, 2, 2, 2), 3)
     item(B)
@@ -358,6 +362,45 @@ def test_is_sortable_counterexample(borel_0101):
         s, t = sort_pair(u, v)
         assert s not in borel_0101.vectors or t not in borel_0101.vectors
     assert is_sortable(base_set([(2, 0), (0, 2)])) == Verdict(False, ((0, 2), (2, 0)))
+
+
+def test_sortable_verdict_matches_the_pair_loop(scan_pool, instance_pool, positive_pool, wide_pool):
+    """The sortable verdict read off the degree-2 fibers equals that of the
+    loop that dealt every pair, witness included, on the pools, on sets of
+    65-120 vectors and on zero vectors."""
+    pools = [P.base_set for _, P in instance_pool + positive_pool]
+    zeros = [base_set([(0,) * n]) for n in (1, 3)]
+    refused = Counter()
+    for B in scan_pool + pools + wide_pool + zeros:
+        want = oracles.dealt_sort_failure(B.vectors)
+        assert is_sortable(dataclasses.replace(B)) == Verdict(want is None, want), sorted(B.vectors)
+        refused[len(B) > 64] += want is not None
+    assert refused[False] and refused[True]
+
+
+def test_sort_pair_matches_the_dealing_loop():
+    """sort_pair splits the sum as the dealing loop it replaced did: on
+    seeded pairs of equal modulus with entries up to 3 and near 10^12, and
+    on all-zero vectors."""
+    rng = Random(41)
+    pairs = [((0,) * n, (0,) * n) for n in (1, 2, 5)]
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        low, high = rng.choice(((0, 3), (10**12 - 4, 10**12 + 4)))
+        u = [rng.randint(low, high) for _ in range(n)]
+        v = rng.sample(u, n)
+        for _ in range(3):
+            i, j = rng.randrange(n), rng.randrange(n)
+            step = rng.randint(0, v[i])
+            v[i] -= step
+            v[j] += step
+        pairs.append((tuple(u), tuple(v)))
+    for u, v in pairs:
+        got = sort_pair(u, v)
+        assert got == oracles.deal(u, v), (u, v)
+        if max(u + v) <= 12:
+            assert got == oracles.sort_pair(u, v)
+    assert any(max(u) >= 10**12 for u, _ in pairs)
 
 
 def test_is_sortable_matches_first_failure_oracle(scan_pool):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -295,6 +296,34 @@ def test_validate_rank_function_matches_the_loops(instance_pool, positive_pool):
     assert min(wide[kind] for kind in (None, "empty", "monotone", "submodular")) >= 100
     # below a zero empty entry, a negative entry fails monotonicity first
     assert min(negative[kind] for kind in ("empty", "monotone")) >= 200
+
+
+def test_validate_rank_function_holds_a_few_tables_at_once():
+    """At n = 16 the check holds at most n + 4 packed tables (2^n fields of
+    its width) at once beyond its guard masks, which are kept per (n, width)
+    for later calls: n + 1 tables more on the first call.  Tables that hold,
+    fail monotonicity (with the loops' witness) and fail submodularity."""
+    n = 16
+    free = [bin(mask).count("1") for mask in range(1 << n)]
+    lowered = list(free)
+    lowered[0b1011] = 1
+    tables = [free, lowered, [size * size for size in free]]
+    witnesses = []
+    for values in tables:
+        rho = RankFunction(n, tuple(values))
+        table = ((max(values) - min(values)).bit_length() + 9) // 8 << n
+        for kept in (False, True):
+            if not kept:
+                polymatroid._field_guards.cache_clear()
+            tracemalloc.start()
+            try:
+                verdict = validate_rank_function(rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (n + 4 + (0 if kept else n + 1)) * table, (kept, peak / table)
+        witnesses.append(verdict.witness)
+    assert witnesses == [None, ("monotone", 0b0011, 0b1011), ("submodular", 1, 2)]
 
 
 def test_polymatroid_from_rank_examples():

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -78,22 +79,77 @@ def _vector_move(ordered, move) -> tuple:
 
 def test_index_moves_match_the_vector_oracle(scan_pool):
     """The moves, index pairs into sorted(B), name the oracle's vector
-    moves with the same i and j, in its order, on every set of the pool."""
-    moved = 0
+    moves with the same i and j, one for each two pairs they join, in
+    relation order, on every set of the pool; some sets have several
+    exchanges between two pairs, or an exchange from the greater one."""
+    moved = dropped = 0
     for B in scan_pool:
         ordered = sorted(B.vectors)
         got = [_vector_move(ordered, mv) + mv[2:] for mv in polymatroid._symmetric_moves(B)]
-        assert got == oracles.symmetric_moves(B.vectors)
+        every = oracles.symmetric_moves(B.vectors)
+        assert got == oracles.relation_moves(every)
         moved += len(got)
-    assert moved > 0
+        dropped += len(every) - len(got)
+    assert moved > 0 and dropped > 0
 
 
 def test_moves_match_the_pair_loop(scan_pool, instance_pool, positive_pool, wide_pool):
-    """The moves equal, in order, those of the pair loop that the bitmask
-    enumeration replaced, on sets of up to 120 vectors."""
+    """The moves equal, in order, the relation moves of the pair loop that
+    the bitmask enumeration replaced, on sets of up to 120 vectors: from
+    each two pairs joined, the least exchange by (left pair, i, j)."""
     pools = [P.base_set for _, P in instance_pool + positive_pool]
+    flipped = 0
     for B in scan_pool + pools + wide_pool:
-        assert polymatroid._symmetric_moves(B) == oracles.index_moves(B.vectors), sorted(B.vectors)
+        want = oracles.relation_moves(oracles.index_moves(B.vectors))
+        assert polymatroid._symmetric_moves(B) == want, sorted(B.vectors)
+        flipped += sum(left > right for left, right, _, _ in want)
+    assert flipped > 0
+
+
+def test_degree_two_components_match_the_breadth_first_search(
+    scan_pool, instance_pool, positive_pool, wide_pool
+):
+    """Degree 2 split into the components of the moves names the fiber and
+    the witness of the breadth-first search it replaced, on the pools and on
+    sets of 65-120 vectors, with every move and with a seeded share dropped."""
+    pools = [P.base_set for _, P in instance_pool + positive_pool]
+    split = Counter()
+    for B in scan_pool + pools + wide_pool:
+        every = polymatroid._symmetric_moves(B)
+        for rate in (1, 0.6, 0.3):
+            coin = Random(len(every)).random
+            moves = [mv for mv in every if coin() < rate]
+            got = toric._pair_split(B._pairs[1], moves)
+            assert got == oracles.degree_two_split(B.vectors, moves), (sorted(B.vectors), rate)
+            split[rate, len(B) > 64] += got is not None
+    assert all(split[rate, wide] for rate in (1, 0.6, 0.3) for wide in (False, True))
+
+
+def test_degree_two_fibers_are_built_once_per_base_set(scan_pool, monkeypatch):
+    """A base set builds its degree-2 fibers once, whichever of is_sortable,
+    the relations, white_check and fibers(B, 2) runs first; the relations
+    read the moves alone."""
+    built = []
+    build = polymatroid._fiber_sums
+    monkeypatch.setattr(polymatroid, "_fiber_sums", lambda ordered, m: built.append((ordered, m)) or build(ordered, m))
+    steps = {
+        "sortable": is_sortable,
+        "relations": symmetric_exchange_relations,
+        "white": lambda B: white_check(B, 2),
+        "fibers": lambda B: fibers(B, 2),
+    }
+    sets = [B for B in scan_pool if is_base_set(B) and len(B) <= 12]
+    for B in sets[:12]:
+        want = [(f.total, f.members) for f in fibers(BaseSet(B.n, B.vectors, B.modulus), 2)]
+        for order in permutations(steps):
+            C = BaseSet(B.n, B.vectors, B.modulus)
+            built.clear()
+            for k, step in enumerate(order):
+                steps[step](C)
+                assert len(built) == (order[:k + 1] != ("relations",)), order
+            assert built == [(tuple(sorted(B.vectors)), 2)]
+            assert [(f.total, f.members) for f in fibers(C, 2)] == want
+    assert len(sets) >= 12
 
 
 def test_fibers_match_brute_force(scan_pool):
