@@ -540,7 +540,7 @@ def _rank_failures(g: int, n: int, width: int, kind: str) -> Iterator[tuple[int,
             yield 1 << i, 1 << j, ~(((up + (g >> s)) | guard) - g - (up >> s)) & a & b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # by (n, width); validating a few dozen base sets at n <= 6 reads 3
 def _field_guards(n: int, width: int) -> tuple[int, list, list]:
     """(guard, outs, pairs) on 2^n fields of width bytes: the top bit of every
     field; for each i, the shift that moves field A + i to A and the top bits
@@ -577,11 +577,11 @@ def _residual(r: tuple, n: int) -> tuple[int, int, int]:
     return sum(map(lshift, r, shifts)) + bias * ones, bias, bits
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # by (n, bits), bits ~ log t; the h* of a few dozen rings at n <= 6 reads 16
 def _reversed_fields(n: int, bits: int) -> tuple[list[int], int]:
     """(where the field at rev(A) starts for each mask A, a one in every field)."""
     shifts = [bits * int(f"{mask:0{n}b}"[::-1], 2) for mask in range(1 << n)]
-    return shifts, sum(1 << shift for shift in shifts)
+    return shifts, ((1 << (bits << n)) - 1) // ((1 << bits) - 1)
 
 
 def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
@@ -601,12 +601,16 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     inequality is checked: no use is made of submodularity.  A state is one
     :func:`_residual` int, so g' is one guarded subtraction.
 
-    Returns None when more than ``limit`` prefixes of n - 2 coordinates
-    are due (each state times its interval's width), before counting
-    them; the coordinates go in the oracles' order, so every None is
-    theirs.  Every prefix of a rank function extends to a base, so such a
-    table is refused at the first level past ``limit`` and no level built
-    has more states.  No point is stored.
+    Each level is one pass over its states: it reads their intervals off
+    the packed fields, drops the empty ones and sums what is due; the
+    last reads its five fields straight into :func:`_last_two`.  Returns
+    None when more than ``limit`` prefixes of n - 2 coordinates are due
+    (each state times its interval's width), before counting them or
+    building the next level; the coordinates go in the oracles' order and
+    the refusal order is unchanged, so every None is theirs.  Every prefix
+    of a rank function extends to a base, so such a table is refused at
+    the first level past ``limit`` and no level built has more states.
+    No point is stored.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -623,11 +627,13 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     for left in range(n - 3, -1, -1):
         shift = bits << left + 2
         rest, full = shift - bits, 2 * shift - bits  # where g(rest) and rem sit; g(next) at shift
-        spans = [
-            (g, mult, max(0, (g >> full) - (g >> rest & field)), (g >> shift & field) - bias)
-            for g, mult in states.items()
-        ]
-        due = sum(mult * max(0, hi - lo + 1) for _, mult, lo, hi in spans)
+        spans, due = [], 0
+        for g, mult in states.items():
+            lo = (g >> full) - (g >> rest & field)
+            lo, hi = lo if lo > 0 else 0, (g >> shift & field) - bias
+            if lo <= hi:
+                spans.append((g, mult, lo, hi))
+                due += mult * (hi - lo + 1)
         if due > limit and (not left or validate_rank_function(rho)):
             return None
         if not left:
@@ -647,8 +653,10 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         states = level
     count = 0
     for g, mult, lo, hi in spans:
-        rem, g2, g3, g4, g5 = [(g >> bits * i & field) - bias for i in (7, 2, 6, 1, 5)]
-        count += mult * _last_two(lo, hi, g2, min(rem, g3), max(0, rem - g5), rem - g4)
+        rem = (g >> 7 * bits) - bias
+        top, floor = (g >> 6 * bits & field) - bias, rem + bias - (g >> 5 * bits & field)
+        ceil, gap = (g >> 2 * bits & field) - bias, rem + bias - (g >> bits & field)
+        count += mult * _last_two(lo, hi, ceil, rem if rem < top else top, floor if floor > 0 else 0, gap)
     return count
 
 
@@ -656,14 +664,21 @@ def _last_two(lo: int, hi: int, ceil: int, top: int, floor: int, gap: int) -> in
     """The sum over v in [lo, hi] of the positive widths f(v) of [max(floor,
     gap - v), min(ceil, top - v)].  f(v) is the least of flat, flat + up + v
     and flat + down - v, and up + down >= 0, so f(v) = flat - max(0, -up -
-    v) - max(0, v - down); where f > 0 each part sums to triangular numbers."""
-    flat = min(ceil - floor, top - gap) + 1
-    up, down = max(floor - gap, ceil - top), max(gap - floor, top - ceil)
-    lo, hi = max(lo, 1 - flat - up), min(hi, flat + down - 1)
+    v) - max(0, v - down); where f > 0 each part is a run x, x - 1, ... of
+    its first hi - lo + 1 terms, those above 0 summed in closed form."""
+    a, b = floor - gap, ceil - top
+    flat, up, down = (ceil - floor + 1, a, -b) if a > b else (top - gap + 1, b, -a)
+    first, last = 1 - flat - up, flat + down - 1  # the v where f(v) > 0
+    lo, hi = lo if lo > first else first, hi if hi < last else last
     if flat < 1 or lo > hi:
         return 0
-    tri = [max(x, 0) * (x + 1) // 2 for x in (-up - lo, -up - hi - 1, hi - down, lo - 1 - down)]
-    return (hi - lo + 1) * flat - tri[0] + tri[1] - tri[2] + tri[3]
+    span = hi - lo + 1
+    count = span * flat
+    for x in (-up - lo, hi - down):
+        if x > 0:
+            k = x if x < span else span
+            count -= k * (2 * x - k + 1) // 2
+    return count
 
 
 def membership(rho: RankFunction, u: Vector) -> bool:

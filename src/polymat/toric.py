@@ -37,7 +37,7 @@ from .exchange import is_sortable
 from .polymatroid import BaseSet, _fiber_sums, _symmetric_moves, is_base_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeRelation:
     """x_u x_v = x_u' x_v' with u' = u - e_i + e_j, v' = v - e_j + e_i.
 

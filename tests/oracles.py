@@ -590,6 +590,75 @@ def last_two(lo, hi, ceil, top, floor, gap):
     return count
 
 
+def count_bases_packed(rho, t, limit):
+    """Integer bases of t*rho by the packed contraction counter that the
+    single pass replaced: the states of each level as the library's
+    ``_residual`` ints, every span listed (empty ones too) with builtin
+    min/max, and the last level's five fields read by a list per state.
+    None once a level is due more than limit prefixes: the last level
+    always, an earlier one only for a rank function, as the library."""
+    from polymat.polymatroid import _residual, validate_rank_function
+
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    n = rho.n
+    r = tuple(t * v for v in rho.values)
+    total = r[-1]
+    if n == 1:
+        return 1
+    if n == 2:
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
+    table, bias, bits = _residual(r, n)
+    field = (1 << bits - 1) - 1
+    states = {table: 1}
+    for left in range(n - 3, -1, -1):
+        shift = bits << left + 2
+        rest, full = shift - bits, 2 * shift - bits  # where g(rest) and rem sit; g(next) at shift
+        spans = [
+            (g, mult, max(0, (g >> full) - (g >> rest & field)), (g >> shift & field) - bias)
+            for g, mult in states.items()
+        ]
+        due = sum(mult * max(0, hi - lo + 1) for _, mult, lo, hi in spans)
+        if due > limit and (not left or validate_rank_function(rho)):
+            return None
+        if not left:
+            break
+        low = (1 << shift) - 1
+        ones = low // ((1 << bits) - 1)
+        guard = ones << bits - 1
+        level: dict = {}
+        for g, mult, lo, hi in spans:
+            keep, drop = g & low, (g >> shift) - lo * ones
+            lifted = keep | guard
+            for _ in range(lo, hi + 1):
+                less = (lifted - drop) & guard
+                child = keep ^ ((keep ^ drop) & (less - (less >> bits - 1)))
+                level[child] = level.get(child, 0) + mult
+                drop -= ones
+        states = level
+    count = 0
+    for g, mult, lo, hi in spans:
+        rem, g2, g3, g4, g5 = [(g >> bits * i & field) - bias for i in (7, 2, 6, 1, 5)]
+        count += mult * last_two_packed(lo, hi, g2, min(rem, g3), max(0, rem - g5), rem - g4)
+    return count
+
+
+def last_two_packed(lo, hi, ceil, top, floor, gap):
+    """The closed form of :func:`last_two` that the one of conditional
+    expressions replaced, with builtin min/max and a list of four
+    triangular numbers: the sum over v in [lo, hi] of the positive widths f(v) of [max(floor,
+    gap - v), min(ceil, top - v)].  f(v) is the least of flat, flat + up + v
+    and flat + down - v, and up + down >= 0, so f(v) = flat - max(0, -up -
+    v) - max(0, v - down); where f > 0 each part sums to triangular numbers."""
+    flat = min(ceil - floor, top - gap) + 1
+    up, down = max(floor - gap, ceil - top), max(gap - floor, top - ceil)
+    lo, hi = max(lo, 1 - flat - up), min(hi, flat + down - 1)
+    if flat < 1 or lo > hi:
+        return 0
+    tri = [max(x, 0) * (x + 1) // 2 for x in (-up - lo, -up - hi - 1, hi - down, lo - 1 - down)]
+    return (hi - lo + 1) * flat - tri[0] + tri[1] - tri[2] + tri[3]
+
+
 def transversal_bases(n, family):
     """Bases e_{i_1} + ... + e_{i_d} with i_k drawn from the kth mask."""
     out = set()

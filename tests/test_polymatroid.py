@@ -665,7 +665,12 @@ def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool)
                 assert all(oracle(rho, t, limit) == got for oracle in COUNT_ORACLES), (rho, t)
 
 
-COUNT_ORACLES = (oracles.count_bases, oracles.count_bases_dfs, oracles.count_bases_contraction)
+COUNT_ORACLES = (
+    oracles.count_bases,
+    oracles.count_bases_dfs,
+    oracles.count_bases_contraction,
+    oracles.count_bases_packed,
+)
 
 
 def _agrees_with_the_oracles_at_every_limit(rho, t):
@@ -818,6 +823,85 @@ def test_count_bases_refuses_a_rank_function_at_the_first_level_past_the_limit(m
     rho = RankFunction(7, (0, 3) + (2,) * 126)
     assert count_bases(rho, 3, 5) == oracles.count_bases_dfs(rho, 3, 5)
     assert verdicts == [False] * 4
+
+
+def test_a_refused_count_does_no_work_past_its_refusal(monkeypatch, instance_pool):
+    # refused at the last level: no span is summed
+    calls = []
+    last_two = polymatroid._last_two
+    monkeypatch.setattr(polymatroid, "_last_two", lambda *args: calls.append(args) or last_two(*args))
+    assert count_bases(RankFunction(3, (0,) * 8), 2, 0) is None
+    refused = 0
+    for rho, _ in instance_pool[:60]:
+        if rho.n < 3:
+            continue
+        limit = 0
+        while count_bases(rho, 2, limit) is None:
+            limit = 2 * limit + 1
+        while limit and count_bases(rho, 2, limit - 1) is not None:
+            limit -= 1
+        calls.clear()
+        if limit:
+            assert count_bases(rho, 2, limit - 1) is None and calls == [], (rho, limit)
+            refused += 1
+        assert count_bases(rho, 2, limit) == oracles.count_bases(rho, 2, limit) and calls, (rho, limit)
+    assert refused >= 20
+    # refused at the first level, where coordinate 1 takes 0..t: building the
+    # next level would hold t + 1 states of 2^(n - 1) fields
+    t = 50_000
+    for n in (4, 5, 7):
+        tracemalloc.start()
+        try:
+            assert count_bases(constant_rank(n, 1), t, t) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, (n, peak)
+
+
+def test_cached_shifts_and_guards_stay_within_a_few_entries():
+    """count_bases keeps a list of shifts per (n, field width) and
+    validate_rank_function its guard masks per (n, byte width), for later
+    calls.  A Hilbert series at n = 12 asks for a new width each time t
+    doubles; past each cache's bound the least recently used entry goes, so
+    the memory kept stays within a constant number of entries, one per
+    width seen up to the bound."""
+    n = 12
+    free = tuple(bin(mask).count("1") for mask in range(1 << n))
+    caches = (polymatroid._reversed_fields, polymatroid._field_guards)
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for t in range(1, 201):
+            assert count_bases(RankFunction(n, free), t, 0) is None
+        for width in range(1, 5):
+            assert validate_rank_function(RankFunction(n, tuple(v << 8 * width - 8 for v in free)))
+        # then as many widths again as each bound, up to 50 bits and 24 bytes
+        for bits in range(15, 51):
+            polymatroid._reversed_fields(n, bits)
+        for width in range(5, 25):
+            polymatroid._field_guards(n, width)
+        seen = [cache.cache_info().misses for cache in caches]
+        kept = []
+        for cache in caches:
+            before = tracemalloc.get_traced_memory()[0]
+            cache.cache_clear()
+            kept.append(before - tracemalloc.get_traced_memory()[0])
+        # the largest entry of each, built afresh
+        largest = []
+        for cache, width in zip(caches, (50, 24)):
+            before = tracemalloc.get_traced_memory()[0]
+            entry = cache.__wrapped__(n, width)
+            largest.append(tracemalloc.get_traced_memory()[0] - before)
+            del entry
+    finally:
+        tracemalloc.stop()
+    assert seen == [45, 24]  # fields of 6 to 50 bits, guards of 1 to 24 bytes
+    for cache, misses, size, most in zip(caches, seen, kept, largest):
+        bound = cache.cache_info().maxsize
+        assert bound is not None and bound < misses, cache
+        assert size <= bound * most, (cache, size / most)
 
 
 def test_points_within_matches_oracle(instance_pool, positive_pool):
