@@ -63,7 +63,7 @@ def symmetric_exchange_witness(B: BaseSet, u: Vector, v: Vector, i: int) -> int 
         raise ValueError(f"index {i} outside ground set [{B.n}]")
     if u[i - 1] <= v[i - 1]:
         raise ValueError(f"need u({i}) > v({i}), got {u[i - 1]} <= {v[i - 1]}")
-    ordered, row, _ = B._swaps
+    ordered, row = B._swaps
     a, b = bisect_left(ordered, u), bisect_left(ordered, v)
     _, up = _deficits(u, v)
     return next((j + 1 for j in set_bits(row(a, i - 1) & up) if row(b, j) >> i - 1 & 1), None)

@@ -61,7 +61,7 @@ class BaseSet(VectorSet):
 
     @cached_property
     def _swaps(self):
-        """(sorted bases, row, steps) of :func:`_swap_rows`, built once per
+        """(sorted bases, row) of :func:`_swap_rows`, built once per
         base set and read by every exchange scan on it."""
         return _swap_rows(self.vectors)
 
@@ -295,25 +295,21 @@ def _proven(B: BaseSet) -> BaseSet:
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
 #
 # A base set keeps its bases' swap rows and, as bitmasks over the bases, those
-# below and above each base at each coordinate; the scans and the moves take
-# all partners of a base at once and visit no pair but a witness or a move.
+# below and above each base at each coordinate; the scans take all partners
+# of a base at once and visit no pair but a witness.
 
 
 def _swap_rows(vs: frozenset):
-    """(ordered, row, steps) with ordered the sorted bases, row(a, i) the
-    bitmask of the 0-based j with ordered[a] - e_i + e_j in vs, for
-    ordered[a](i) > 0, and steps[a][i][j] the index of that vector in
-    ordered, recorded when row(a, i) is built.
+    """(ordered, row) with ordered the sorted bases and row(a, i) the bitmask
+    of the 0-based j with ordered[a] - e_i + e_j in vs, for ordered[a](i) > 0.
 
     All bases agree off the coordinates on which some two of them differ,
     so only those take part in a swap.  A row is built when first read,
     so a scan that stops early tests only the rows it reached.
     """
     ordered = sorted_vectors(vs)
-    index = {v: k for k, v in enumerate(ordered)}
     vary = [k for k, col in enumerate(zip(*ordered)) if min(col) != max(col)]
     rows = [{} for _ in ordered]
-    steps = [{} for _ in ordered]
 
     def row(a: int, i: int) -> int:
         mask = rows[a].get(i)
@@ -321,18 +317,16 @@ def _swap_rows(vs: frozenset):
             w = list(ordered[a])
             w[i] -= 1
             mask = 0
-            found = steps[a][i] = {}
             for j in vary:
                 if j != i:
                     w[j] += 1
-                    if (t := tuple(w)) in vs:
+                    if tuple(w) in vs:
                         mask |= 1 << j
-                        found[j] = index[t]
                     w[j] -= 1
             rows[a][i] = mask
         return mask
 
-    return ordered, row, steps
+    return ordered, row
 
 
 def _deficits(u: Vector, v: Vector) -> tuple[list[int], int]:
@@ -359,7 +353,7 @@ def _exchange_failure(B: BaseSet, mode: str) -> Verdict:
     off the row if strong), weak fails off the union over i of lt[i][u] &
     hit, strong on it, the others on lt[i][u] & ~hit; the least v is first.
     """
-    ordered, row, _ = B._swaps
+    ordered, row = B._swaps
     lt, gt = B._orders
     has = B._has if mode == "symmetric" else None
     vary = sum(1 << k for k in gt)
@@ -427,31 +421,45 @@ def _symmetric_moves(B: BaseSet) -> list[tuple]:
     ((a, b), (c, d), i, j) for a < b, c <= d, (c, d) != (a, b) and 1-based
     i, j with u(i) > v(i), u(j) < v(j), u' = u - e_i + e_j and v' = v - e_j
     + e_i, u, v, u', v' the bases at a, b, c, d; of those joining two pairs
-    the least by (a, b), i, j, sorted by the pairs, the lesser first.  The
-    exchange on v at i' with u at j' is this one at (j', i'), so pairs a < b
-    reach every exchange, and (c, d) reaches (a, b) iff u(i) - v(i) = v(j) -
-    u(j) = 1.  At a, i and j in row(a, i) the b > a are lt[i][a] & gt[j][a]
-    & has[j, i]; c and d are read off the swap rows' steps."""
-    ordered, row, steps = B._swaps
-    lt, gt = B._orders
-    has = B._has
-    first: dict = {}
-    for a, u in enumerate(ordered):
-        later = -1 << a + 1
-        for i, below in lt.items():
-            if mine := below[a] & later:
-                for j in set_bits(row(a, i)):
-                    c, partners = steps[a][i][j], mine & gt[j][a] & has.get((j, i), 0)
-                    while partners:
-                        b = (partners & -partners).bit_length() - 1
-                        partners ^= 1 << b
-                        if c != b:  # else the exchange swaps u and v
-                            d, left = steps[b][j][i], (a, b)
-                            pair = (c, d) if c < d else (d, c)
-                            if pair > left or u[i] - ordered[b][i] > 1 or ordered[b][j] - u[j] > 1:
-                                key = (left, pair) if pair > left else (pair, left)
-                                first.setdefault(key, (left, pair, i + 1, j + 1))
-    return [first[key] for key in sorted(first)]
+    the least by (a, b), i, j, sorted by the pairs, the lesser first.
+
+    An exchange keeps the sum, so it joins two members P = (a, b) < Q = (c,
+    d) of one degree-2 fiber, and only where u - u' is some e_i - e_j with u'
+    at c or d: one difference of packed vectors and one look-up each.  With
+    di = u(i) - v(i) and dj = v(j) - u(j), that is an exchange from P at (i,
+    j) when di, dj >= 1, and one from Q when di, dj <= 1, at (j, i) for u' at
+    c and at (i, j) for u' at d; a diagonal pair fails the test on the left.
+    The least of those is kept, so P's before Q's: every pair is read in
+    order with its later fiber mates, and the moves come in relation order.
+    """
+    ordered, size = B._swaps[0], len(B)
+    width = max(map(max, ordered)).bit_length() + 1
+    places = range(0, width * B.n, width)
+    packed = [sum(map(lshift, u, places)) for u in ordered]
+    fields = list(enumerate(places, 1))
+    unit = {(1 << p) - (1 << q): (i, j) for i, p in fields for j, q in fields if i != j}
+    padded = [(0, *u) for u in ordered]  # read at 1-based i, j
+    later: list = [None] * size * size
+    for _, members in B._pairs[1]:
+        for x, (a, b) in enumerate(members[:-1], 1):
+            later[a * size + b] = x, members
+    moves = []
+    for x, members in filter(None, later):
+        P = a, b = members[x - 1]
+        u, v, at = padded[a], padded[b], packed[a]
+        for Q in members[x:]:
+            to_c, to_d = unit.get(at - packed[Q[0]]), unit.get(at - packed[Q[1]])
+            if to_c:
+                i, j = to_c
+                di, dj = u[i] - v[i], v[j] - u[j]
+                to_c = (P, Q, i, j) if di > 0 < dj else (Q, P, j, i) if di < 2 > dj else None
+            if to_d:
+                i, j = to_d
+                di, dj = u[i] - v[i], v[j] - u[j]
+                to_d = (P, Q, i, j) if di > 0 < dj else (Q, P, i, j) if di < 2 > dj else None
+            if to_c or to_d:
+                moves.append(min(to_c, to_d) if to_c and to_d else to_c or to_d)
+    return moves
 
 
 def base_set_rank(B: BaseSet) -> RankFunction | None:

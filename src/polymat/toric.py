@@ -7,9 +7,10 @@ that the symmetric exchange relations generate the toric ideal up to
 that degree; a disconnected one is a candidate counterexample, never a
 theorem either way.  Multisets are ascending tuples of indices into the
 sorted bases, grouped by a packed sum; the base set keeps degree 2.  The
-exchanges, index pairs read off the swap rows, are listed once per base
-set, one per relation and in relation order; an undirected table of them
-is built only where a search reads it.
+exchanges, index pairs found between the members of one degree-2 fiber, are
+listed once per base set, one per relation and in relation order, after
+their pairs are charged to the size cap; an undirected table of them is
+built only where a search reads it.
 
 Moves never leave a fiber, so degree 2 is decided by the components of
 the move list, each rooted at its least pair.  Above it two results do
@@ -71,13 +72,20 @@ def symmetric_exchange_relations(B: BaseSet) -> tuple[ExchangeRelation, ...]:
 
     Relations are identified up to swapping within either unordered
     pair and up to flipping the two sides; relations whose sides agree
-    as multisets are dropped.  The moves come one per relation, in order.
+    as multisets are dropped.  The moves come one per relation, in order;
+    each relation is filled in through its slots, past the frozen __init__.
     """
-    ordered = B._swaps[0]
-    return tuple(
-        ExchangeRelation((ordered[a], ordered[b]), (ordered[c], ordered[d]), i, j)
-        for (a, b), (c, d), i, j in _move_entry(B)["moves"]
-    )
+    ordered, relations = B._swaps[0], []
+    setters = (getattr(ExchangeRelation, name).__set__ for name in ("left", "right", "i", "j"))
+    set_left, set_right, set_i, set_j = setters
+    for (a, b), (c, d), i, j in _move_entry(B)["moves"]:
+        r = object.__new__(ExchangeRelation)
+        set_left(r, (ordered[a], ordered[b]))
+        set_right(r, (ordered[c], ordered[d]))
+        set_i(r, i)
+        set_j(r, j)
+        relations.append(r)
+    return tuple(relations)
 
 
 def _check_caps(B: BaseSet, m: int, max_base_size: int, max_degree: int) -> None:
@@ -184,27 +192,36 @@ def _unshared(members: list, table: dict) -> tuple | None:
 
 
 def _move_entry(B: BaseSet) -> dict:
-    """The moves of a proved base set B, kept on B per move generator with what is read off them."""
-    verdict = is_base_set(B)
-    if not verdict:
-        raise ValueError(f"not a valid base set: witness {verdict.witness}")
+    """The moves of a proved base set B, kept on B per move generator with what
+    is read off them; their comb(|B|, 2) pairs are charged to the cap first."""
     if _symmetric_moves not in B._moves:
+        check_cap(comb(len(B.vectors), 2), "symmetric move enumeration", "pairs")
+        verdict = is_base_set(B)
+        if not verdict:
+            raise ValueError(f"not a valid base set: witness {verdict.witness}")
         B._moves[_symmetric_moves] = {"moves": list(_symmetric_moves(B))}
     return B._moves[_symmetric_moves]
 
 
-def _pair_split(fibers: list, moves: list) -> tuple | None:
+def _pair_split(fibers: list, moves: list, size: int) -> tuple | None:
     """(least member, least one outside its component) of the first degree-2
-    fiber the moves split, or None; a component is rooted at its least pair."""
+    fiber the moves split, or None; a component is rooted at its least pair,
+    and a pair (a, b) of indices below size is coded as a * size + b."""
     root: dict = {}
-    for left, right, _, _ in moves:
+    for (a, b), (c, d), _, _ in moves:
+        left, right = a * size + b, c * size + d
         while left in root:
             left = root[left]
         while right in root:
             right = root[right]
-        if left != right:
-            root[max(left, right)] = min(left, right)
-    return next(((first, p) for _, (first, *rest) in fibers for p in rest if p not in root), None)
+        if left < right:
+            root[right] = left
+        elif right < left:
+            root[left] = right
+    if len(root) == size * (size + 1) // 2 - len(fibers):  # one component per fiber
+        return None
+    split = ((first, p) for _, (first, *rest) in fibers for p in rest if p[0] * size + p[1] not in root)
+    return next(split, None)
 
 
 def white_check(
@@ -234,7 +251,7 @@ def white_check(
         return entry[d, search]
 
     if 2 not in entry:
-        entry[2] = _pair_split(B._pairs[1], entry["moves"])
+        entry[2] = _pair_split(B._pairs[1], entry["moves"], len(B))
     degree, split = 2, entry[2]
     if split is None and m > 2 and is_sortable(B):
         return Verdict(True)

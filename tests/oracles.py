@@ -868,6 +868,53 @@ def relation_moves(moves):
     return [first[key] for key in sorted(first)]
 
 
+def masked_moves(B):
+    """The moves of a base set B by the bitmask enumeration that the scan of
+    degree-2 fibers replaced, its body verbatim but for c and d, which the
+    swap rows no longer record: looked up here by vector.  It visits every
+    exchange from the lesser pair, trivial swaps, reversed exchanges and
+    repeated routes to a kept relation included, and keeps the first one per
+    relation in the order of a, i, j and b."""
+    from polymat.core import set_bits
+
+    ordered, row = B._swaps
+    lt, gt = B._orders
+    has = B._has
+    index = {w: k for k, w in enumerate(ordered)}
+    first: dict = {}
+    for a, u in enumerate(ordered):
+        later = -1 << a + 1
+        for i, below in lt.items():
+            if mine := below[a] & later:
+                for j in set_bits(row(a, i)):
+                    c, partners = index[swap(u, i, j)], mine & gt[j][a] & has.get((j, i), 0)
+                    while partners:
+                        b = (partners & -partners).bit_length() - 1
+                        partners ^= 1 << b
+                        if c != b:  # else the exchange swaps u and v
+                            d, left = index[swap(ordered[b], j, i)], (a, b)
+                            pair = (c, d) if c < d else (d, c)
+                            if pair > left or u[i] - ordered[b][i] > 1 or ordered[b][j] - u[j] > 1:
+                                key = (left, pair) if pair > left else (pair, left)
+                                first.setdefault(key, (left, pair, i + 1, j + 1))
+    return [first[key] for key in sorted(first)]
+
+
+def tuple_pair_split(fibers, moves):
+    """The degree-2 split by the union-find on index-pair tuples that the
+    one on coded pairs replaced, verbatim: (least member, least one outside
+    its component) of the first fiber the moves split, or None."""
+    root: dict = {}
+    for left, right, _, _ in moves:
+        while left in root:
+            left = root[left]
+        while right in root:
+            right = root[right]
+        if left != right:
+            root[max(left, right)] = min(left, right)
+    return next(((first, p) for _, (first, *rest) in fibers for p in rest if p not in root), None)
+
+
 def in_scaled_hull(points, target, scale):
     """target in scale * conv(points), by the phase-one simplex over
     Fraction that the integer tableau replaced: one row per coordinate of

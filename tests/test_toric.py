@@ -1,5 +1,8 @@
+import dataclasses
+import pickle
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations, product
+from math import comb
 from random import Random
 
 import pytest
@@ -10,6 +13,7 @@ from polymat import polymatroid, toric
 from polymat import (
     BaseSet,
     ExchangeMode,
+    ExchangeRelation,
     Fiber,
     SizeCapExceeded,
     Verdict,
@@ -41,6 +45,26 @@ def test_relations_example(four_bases):
     for r in rels:
         assert all(v in four_bases.vectors for v in r.left + r.right)
         assert tuple(map(sum, zip(*r.left))) == tuple(map(sum, zip(*r.right)))
+
+
+def test_relations_match_constructed_ones(scan_pool, positive_pool):
+    """Relations filled in through their slots are ExchangeRelations like
+    constructed ones: equal, with the same hash, repr, fields and replace;
+    frozen; and equal again after a pickle round trip."""
+    fields = dataclasses.fields(ExchangeRelation)
+    checked = 0
+    for B in [B for B in scan_pool if is_base_set(B)] + [P.base_set for _, P in positive_pool]:
+        for r in symmetric_exchange_relations(B):
+            built = ExchangeRelation(*dataclasses.astuple(r))
+            assert type(r) is ExchangeRelation and r == built and hash(r) == hash(built)
+            assert repr(r) == repr(built) and dataclasses.fields(r) == fields
+            assert dataclasses.replace(r) == built
+            assert dataclasses.replace(r, i=r.j) == dataclasses.replace(built, i=r.j)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.i = 0
+            assert pickle.loads(pickle.dumps(r)) == r
+            checked += 1
+    assert checked > 1000
 
 
 def test_relations_reject_invalid_base_set(stable_five):
@@ -93,17 +117,48 @@ def test_index_moves_match_the_vector_oracle(scan_pool):
     assert moved > 0 and dropped > 0
 
 
+def _route_cases(vectors) -> Counter:
+    """How often the pair loop meets each case the fiber scan drops or keeps
+    specially, per relation of index_moves: an exchange both ways between
+    its two pairs ("reversed"), two from its kept left pair ("repeated") and
+    one kept from the greater pair ("greater left"); and the trivial swaps,
+    exchanges back onto their own pair, which index_moves leaves out."""
+    ordered = sorted(vectors)
+    n = len(ordered[0])
+    cases = Counter(
+        trivial=sum(
+            oracles.swap(u, i, j) == v
+            for u, v in combinations(ordered, 2)
+            for i, j in product(range(n), repeat=2)
+            if u[i] > v[i] and u[j] < v[j]
+        )
+    )
+    routes: dict = {}
+    for move in oracles.index_moves(vectors):
+        routes.setdefault(tuple(sorted(move[:2])), []).append(move)
+    for found in routes.values():
+        kept = min(found)
+        lefts = Counter(left for left, *_ in found)
+        cases["reversed"] += len(lefts) == 2
+        cases["repeated"] += lefts[kept[0]] > 1
+        cases["greater left"] += kept[0] > kept[1]
+    return cases
+
+
 def test_moves_match_the_pair_loop(scan_pool, instance_pool, positive_pool, wide_pool):
     """The moves equal, in order, the relation moves of the pair loop that
-    the bitmask enumeration replaced, on sets of up to 120 vectors: from
-    each two pairs joined, the least exchange by (left pair, i, j)."""
+    the bitmask enumeration replaced, and those of that enumeration, on sets
+    of up to 120 vectors: from each two pairs joined, the least exchange by
+    (left pair, i, j).  The pools hold every case the scan of fibers drops
+    or keeps specially, counted from the pair loop."""
     pools = [P.base_set for _, P in instance_pool + positive_pool]
-    flipped = 0
+    cases = Counter()
     for B in scan_pool + pools + wide_pool:
         want = oracles.relation_moves(oracles.index_moves(B.vectors))
-        assert polymatroid._symmetric_moves(B) == want, sorted(B.vectors)
-        flipped += sum(left > right for left, right, _, _ in want)
-    assert flipped > 0
+        got = polymatroid._symmetric_moves(B)
+        assert got == want == oracles.masked_moves(B), sorted(B.vectors)
+        cases += _route_cases(B.vectors)
+    assert all(cases[case] > 0 for case in ("trivial", "reversed", "repeated", "greater left")), cases
 
 
 def test_degree_two_components_match_the_breadth_first_search(
@@ -119,16 +174,17 @@ def test_degree_two_components_match_the_breadth_first_search(
         for rate in (1, 0.6, 0.3):
             coin = Random(len(every)).random
             moves = [mv for mv in every if coin() < rate]
-            got = toric._pair_split(B._pairs[1], moves)
+            got = toric._pair_split(B._pairs[1], moves, len(B))
             assert got == oracles.degree_two_split(B.vectors, moves), (sorted(B.vectors), rate)
+            assert got == oracles.tuple_pair_split(B._pairs[1], moves)
             split[rate, len(B) > 64] += got is not None
     assert all(split[rate, wide] for rate in (1, 0.6, 0.3) for wide in (False, True))
 
 
 def test_degree_two_fibers_are_built_once_per_base_set(scan_pool, monkeypatch):
     """A base set builds its degree-2 fibers once, whichever of is_sortable,
-    the relations, white_check and fibers(B, 2) runs first; the relations
-    read the moves alone."""
+    the relations, white_check and fibers(B, 2) runs first; the moves behind
+    the relations are read off them too."""
     built = []
     build = polymatroid._fiber_sums
     monkeypatch.setattr(polymatroid, "_fiber_sums", lambda ordered, m: built.append((ordered, m)) or build(ordered, m))
@@ -144,9 +200,9 @@ def test_degree_two_fibers_are_built_once_per_base_set(scan_pool, monkeypatch):
         for order in permutations(steps):
             C = BaseSet(B.n, B.vectors, B.modulus)
             built.clear()
-            for k, step in enumerate(order):
+            for step in order:
                 steps[step](C)
-                assert len(built) == (order[:k + 1] != ("relations",)), order
+                assert len(built) == 1, order
             assert built == [(tuple(sorted(B.vectors)), 2)]
             assert [(f.total, f.members) for f in fibers(C, 2)] == want
     assert len(sets) >= 12
@@ -314,6 +370,34 @@ def test_white_check_refuses_a_large_base_set_before_proving_it(monkeypatch):
     monkeypatch.setattr(toric, "is_base_set", refuse)
     with pytest.raises(SizeCapExceeded, match="cap is 64"):
         white_check(B, 2)
+
+
+def test_moves_are_charged_to_the_cap_before_they_are_built(monkeypatch):
+    """The moves charge comb(|B|, 2) pairs to the size cap before B is
+    proved or a move is built: one below that the relations and the fiber
+    graph are refused, at it they are built; white_check's own charge for
+    its fibers is larger and still refuses first."""
+    B = veronese((2, 2, 2, 2), 3)
+    fiber, pairs = fibers(B, 2)[-1], comb(len(B), 2)
+    want = symmetric_exchange_relations(BaseSet(B.n, B.vectors, B.modulus))
+    calls = []
+    for name in ("_symmetric_moves", "is_base_set"):
+        def spy(B, name=name, real=getattr(toric, name)):
+            calls.append(name)
+            return real(B)
+
+        monkeypatch.setattr(toric, name, spy)
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(pairs - 1))
+    refusal = f"symmetric move enumeration needs {pairs} pairs, cap is {pairs - 1}"
+    for call in (symmetric_exchange_relations, lambda B: fiber_graph(B, fiber)):
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            call(B)
+    with pytest.raises(SizeCapExceeded, match=f"fiber enumeration needs {pairs + len(B)} points"):
+        white_check(B, 2)
+    assert calls == []
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", str(pairs))
+    assert symmetric_exchange_relations(B) == want and fiber_graph(B, fiber).vertices == fiber.members
+    assert calls == ["is_base_set", "_symmetric_moves"]
 
 
 def test_fiber_graph_refuses_a_partial_fiber(four_bases):
