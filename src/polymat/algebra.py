@@ -294,11 +294,6 @@ def closed_inseparable_subsets(rho: RankFunction) -> FacetDescription:
     verdict = validate_rank_function(rho)
     if not verdict:
         raise ValueError(f"invalid rank function: {verdict.witness}")
-    return _facets(rho)
-
-
-def _facets(rho: RankFunction) -> FacetDescription:
-    """closed_inseparable_subsets of a rho already proved a rank function."""
     for i in range(rho.n):
         if rho.values[1 << i] < 1:
             raise ValueError(f"rank of singleton {{{i + 1}}} is zero; unit vectors must be points")
@@ -318,12 +313,8 @@ def ehrhart_gorenstein(rho: RankFunction) -> int | None:
     on every closed inseparable subset A, or None when no such integer
     exists (equivalently, the ring is not Gorenstein).
     """
-    return _dilation(closed_inseparable_subsets(rho))
-
-
-def _dilation(desc: FacetDescription) -> int | None:
     delta = None
-    for mask, value in desc.rank_facets:
+    for mask, value in closed_inseparable_subsets(rho).rank_facets:
         target = subset_size(mask) + 1
         if target % value:
             return None

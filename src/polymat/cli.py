@@ -1,5 +1,8 @@
 """Command-line front end: JSON documents in, deterministic JSON reports out.
 
+Every subcommand is a row of ``COMMANDS``, whose reader and handler turn its
+document into a report through public library calls alone.
+
 Exit codes: 0 when the computation succeeded or the property holds, 1
 when a checked property fails (the report carries the witness), 2 for
 usage, schema or size-cap errors.
@@ -16,11 +19,12 @@ from typing import Any
 
 from . import __version__
 from .algebra import (
+    FacetDescription,
     GenericGorensteinParams,
-    _dilation,
-    _facets,
     base_ring_generators,
+    closed_inseparable_subsets,
     ehrhart_generators,
+    ehrhart_gorenstein,
     generic_gorenstein_rank,
     h_star,
     hilbert_values,
@@ -44,8 +48,6 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
-    _package,
-    _points_within,
     base_set,
     bases,
     contract,
@@ -54,6 +56,7 @@ from .polymatroid import (
     is_base_set,
     is_discrete_polymatroid,
     lift,
+    polymatroid_from_rank,
     polymatroid_sum,
     rank_function,
     rank_function_from_values,
@@ -187,9 +190,8 @@ def _polymatroid(doc: Document) -> DiscretePolymatroid:
         return discrete_polymatroid(doc.value)
     if doc.kind == "base-set":
         return discrete_polymatroid(downward_closure(VectorSet(doc.value.n, doc.value.vectors)))
-    if doc.kind == "rank-function":  # validated once, by _rank_function
-        rho = _rank_function(doc)
-        return _package(rho.n, _points_within(rho.values, rho.n))
+    if doc.kind == "rank-function":  # the table keeps the verdict _rank_function checked
+        return polymatroid_from_rank(_rank_function(doc))
     raise SchemaError(
         f"expected a vector-set, base-set or rank-function document, got {doc.kind!r}"
     )
@@ -230,7 +232,11 @@ def _generators(which: str, doc: Document):
 def _encode(value: Any) -> Any:
     """The JSON form of a handler's payload.  A Verdict becomes its truth
     value, and on failure its witness joins the dict as ``witness``; point
-    sets, base sets and rank functions become documents; tuples become lists."""
+    sets, base sets and rank functions become documents, facet descriptions
+    their facets; tuples become lists."""
+    if isinstance(value, FacetDescription):
+        facets = [{"subset": subset_elements(m), "rank": r} for m, r in value.rank_facets]
+        value = {"coordinate_facets": value.coordinate_facets, "rank_facets": facets}
     if isinstance(value, dict):
         out: dict[str, Any] = {}
         for key, item in value.items():
@@ -254,7 +260,8 @@ def _encode(value: Any) -> Any:
 
 
 # --- subcommand handlers: (reader's value, args) -> payload; main encodes the
-# payload and derives the exit code from its "verdict" field.
+# payload and derives the exit code from its "verdict" field.  A handler that
+# is one library call is written in its row of COMMANDS.
 
 _VALIDATORS = {
     "vector-set": is_discrete_polymatroid,
@@ -267,23 +274,6 @@ def _cmd_validate(doc: Document, args) -> dict:
     if doc.kind not in _VALIDATORS:
         raise SchemaError(f"nothing to validate for kind {doc.kind!r}")
     return {"verdict": _VALIDATORS[doc.kind](doc.value)}
-
-
-def _cmd_result(value, args) -> dict:
-    """bases and rank: the reader's value is the result."""
-    return {"result": value}
-
-
-def _cmd_exchange(B: BaseSet, args) -> dict:
-    return {"verdict": exchange_property(B, ExchangeMode(args.mode)), "mode": args.mode}
-
-
-def _cmd_sort(_, args) -> dict:
-    return {"result": {"pair": sort_pair(_parse_vector(args.u), _parse_vector(args.v))}}
-
-
-def _cmd_sortable(B: BaseSet, args) -> dict:
-    return {"verdict": is_sortable(B)}
 
 
 def _cmd_rewrite(B: BaseSet, args) -> dict:
@@ -308,21 +298,11 @@ def _cmd_gorenstein(doc: Document, args) -> dict:
         h = data.h_star_trimmed
         return {"verdict": h == h[::-1], "h_star": h, "krull_dim": data.krull_dim}
     if args.which == "ehrhart":
-        delta = _dilation(_facets(_rank_function(doc)))
+        delta = ehrhart_gorenstein(_rank_function(doc))
         return {"verdict": delta is not None, "delta": delta}
     if doc.kind != "borel":
         raise SchemaError("the base-ring criterion method needs a borel document")
     return {"verdict": borel_gorenstein(doc.value)}
-
-
-def _cmd_facets(rho: RankFunction, args) -> dict:
-    desc = _facets(rho)
-    facets = [{"subset": subset_elements(m), "rank": r} for m, r in desc.rank_facets]
-    return {"result": {"coordinate_facets": desc.coordinate_facets, "rank_facets": facets}}
-
-
-def _cmd_generic(P: DiscretePolymatroid, args) -> dict:
-    return {"verdict": is_generic(P)}
 
 
 def _cmd_is_transversal(P: DiscretePolymatroid, args) -> dict:
@@ -330,18 +310,6 @@ def _cmd_is_transversal(P: DiscretePolymatroid, args) -> dict:
     if pres is None:
         return {"verdict": False}
     return {"verdict": True, "presentation": pres.subsets_as_elements()}
-
-
-def _cmd_truncate(P: DiscretePolymatroid, args) -> dict:
-    return {"result": truncate(P, args.rank)}
-
-
-def _cmd_contract(P: DiscretePolymatroid, args) -> dict:
-    return {"result": contract(P, _parse_vector(args.at))}
-
-
-def _cmd_lift(P: DiscretePolymatroid, args) -> dict:
-    return {"result": lift(P)}
 
 
 def _cmd_sum(_, args) -> dict:
@@ -400,69 +368,72 @@ def _construct_document(args) -> Any:
     return doc.value
 
 
+_WHICH = ("--which", dict(choices=["base", "ehrhart"], required=True))
+
+# Each subcommand: (name, help, reader, handler, options).  A command with a
+# reader takes the path of its document first; each option is (name, keywords
+# of add_argument).
+COMMANDS = (
+    ("validate", "validate a vector set, base set or rank function", _document, _cmd_validate, ()),
+    ("bases", "maximal vectors of a polymatroid", _base_set, lambda B, args: {"result": B}, ()),
+    ("rank", "rank function of a base set", _rank_function, lambda rho, args: {"result": rho}, ()),
+    ("exchange", "check an exchange property", _vectors,
+     lambda B, args: {"verdict": exchange_property(B, ExchangeMode(args.mode)), "mode": args.mode},
+     (("--mode", dict(choices=[m.value for m in ExchangeMode], required=True)),)),
+    ("sort", "apply the sorting operator to a pair", None,
+     lambda _, args: {"result": {"pair": sort_pair(_parse_vector(args.u), _parse_vector(args.v))}},
+     (("--u", dict(required=True)), ("--v", dict(required=True)))),
+    ("sortable", "closure under the sorting operator", _vectors,
+     lambda B, args: {"verdict": is_sortable(B)}, ()),
+    ("rewrite", "balance a sequence of bases by symmetric exchanges", _vectors, _cmd_rewrite,
+     (("--seq", dict(action="append", required=True, help="vector, repeatable")),)),
+    ("white", "fiber-graph connectivity in a given degree", _vectors, _cmd_white,
+     (("--degree", dict(type=int, default=2)), ("--max-base-size", dict(type=int, default=64)))),
+    ("hilbert", "Hilbert function values", _document, _cmd_hilbert,
+     (_WHICH, ("--terms", dict(type=int, default=4)))),
+    ("gorenstein", "Gorenstein verdicts", _document, _cmd_gorenstein,
+     (_WHICH, ("--method", dict(choices=["hstar", "criterion"], default="hstar")))),
+    ("facets", "coordinate and rank facets", _rank_function,
+     lambda rho, args: {"result": closed_inseparable_subsets(rho)}, ()),
+    ("generic", "genericity of a polymatroid", _polymatroid,
+     lambda P, args: {"verdict": is_generic(P)}, ()),
+    ("construct", "build a classical family instance", None, _cmd_construct, (
+        ("target", dict(choices=["veronese", "borel", "transversal", "sublattice",
+                                 "generic-gorenstein"])),
+        ("file", dict(nargs="?")),
+        ("--caps", dict()),
+        ("--generator", dict()),
+        ("--alpha", dict()),
+        ("--rank", dict(type=int)),
+    )),
+    ("is-transversal", "transversal presentation by Moebius inversion", _polymatroid,
+     _cmd_is_transversal, ()),
+    ("truncate", "restrict to a smaller rank", _polymatroid,
+     lambda P, args: {"result": truncate(P, args.rank)},
+     (("--rank", dict(type=int, required=True)),)),
+    ("contract", "contract at a point", _polymatroid,
+     lambda P, args: {"result": contract(P, _parse_vector(args.at))},
+     (("--at", dict(required=True)),)),
+    ("lift", "append a slack coordinate", _polymatroid, lambda P, args: {"result": lift(P)}, ()),
+    ("sum", "polymatroid sum of several inputs", None, _cmd_sum, (("files", dict(nargs="+")),)),
+    ("normality", "degree-by-degree saturation check", _document, _cmd_normality,
+     (_WHICH, ("--tmax", dict(type=int, default=2)))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymat",
         description="Discrete polymatroid toolkit: validation, exchange, toric and Hilbert checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, **defaults):
-        """A subcommand; one with a reader takes the path of its document."""
+    for name, help, read, handler, options in COMMANDS:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(**defaults)
-        if defaults["read"] is not None:
+        p.set_defaults(handler=handler, read=read)
+        if read is not None:
             p.add_argument("file")
-        return p
-
-    p = add("validate", "validate a vector set, base set or rank function",
-            handler=_cmd_validate, read=_document)
-    p = add("bases", "maximal vectors of a polymatroid", handler=_cmd_result, read=_base_set)
-    p = add("rank", "rank function of a base set", handler=_cmd_result, read=_rank_function)
-    p = add("exchange", "check an exchange property", handler=_cmd_exchange, read=_vectors)
-    p.add_argument("--mode", choices=[m.value for m in ExchangeMode], required=True)
-    p = add("sort", "apply the sorting operator to a pair", handler=_cmd_sort, read=None)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p = add("sortable", "closure under the sorting operator", handler=_cmd_sortable, read=_vectors)
-    p = add("rewrite", "balance a sequence of bases by symmetric exchanges",
-            handler=_cmd_rewrite, read=_vectors)
-    p.add_argument("--seq", action="append", required=True, help="vector, repeatable")
-    p = add("white", "fiber-graph connectivity in a given degree",
-            handler=_cmd_white, read=_vectors)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--max-base-size", type=int, default=64, dest="max_base_size")
-    p = add("hilbert", "Hilbert function values", handler=_cmd_hilbert, read=_document)
-    p.add_argument("--which", choices=["base", "ehrhart"], required=True)
-    p.add_argument("--terms", type=int, default=4)
-    p = add("gorenstein", "Gorenstein verdicts", handler=_cmd_gorenstein, read=_document)
-    p.add_argument("--which", choices=["base", "ehrhart"], required=True)
-    p.add_argument("--method", choices=["hstar", "criterion"], default="hstar")
-    p = add("facets", "coordinate and rank facets", handler=_cmd_facets, read=_rank_function)
-    p = add("generic", "genericity of a polymatroid", handler=_cmd_generic, read=_polymatroid)
-    p = add("construct", "build a classical family instance", handler=_cmd_construct, read=None)
-    p.add_argument(
-        "target",
-        choices=["veronese", "borel", "transversal", "sublattice", "generic-gorenstein"],
-    )
-    p.add_argument("file", nargs="?")
-    p.add_argument("--caps")
-    p.add_argument("--generator")
-    p.add_argument("--alpha")
-    p.add_argument("--rank", type=int)
-    p = add("is-transversal", "transversal presentation by Moebius inversion",
-            handler=_cmd_is_transversal, read=_polymatroid)
-    p = add("truncate", "restrict to a smaller rank", handler=_cmd_truncate, read=_polymatroid)
-    p.add_argument("--rank", type=int, required=True)
-    p = add("contract", "contract at a point", handler=_cmd_contract, read=_polymatroid)
-    p.add_argument("--at", required=True)
-    p = add("lift", "append a slack coordinate", handler=_cmd_lift, read=_polymatroid)
-    p = add("sum", "polymatroid sum of several inputs", handler=_cmd_sum, read=None)
-    p.add_argument("files", nargs="+")
-    p = add("normality", "degree-by-degree saturation check",
-            handler=_cmd_normality, read=_document)
-    p.add_argument("--which", choices=["base", "ehrhart"], required=True)
-    p.add_argument("--tmax", type=int, default=2)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
     return parser
 
 

@@ -30,9 +30,8 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
-    _package,
-    _points_within,
     _proven,
+    polymatroid_from_rank,
     rank_function,
 )
 
@@ -145,7 +144,7 @@ def sublattice_polymatroid(L: Sublattice, mu: Mapping[int, int]) -> DiscretePoly
                 )
     check_cap(len(L.members) << L.n, "sublattice rank table")
     values = tuple(min(mu[a] for a in L.members if a & mask == mask) for mask in subsets(L.n))
-    return _package(L.n, _points_within(values, L.n))
+    return polymatroid_from_rank(_proven(RankFunction(L.n, values)))
 
 
 # --- transversal polymatroids -------------------------------------------------

@@ -21,8 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate, combinations
+from math import comb
 
-from .core import Vector, Verdict, exchange_step, modulus, set_bits
+from .core import Vector, Verdict, check_cap, exchange_step, modulus, set_bits
 from .polymatroid import BaseSet, _deficits, _exchange_failure, is_base_set
 
 
@@ -115,7 +116,9 @@ def sign_sequence(w: Vector) -> str:
 
 def is_sortable(B: BaseSet) -> Verdict:
     """Is B closed under the sorting operator?  Witness: the first pair
-    whose sorted image leaves B.  Decided once per base set."""
+    whose sorted image leaves B.  Decided once per base set; its comb(|B| +
+    1, 2) degree-2 multisets are charged to the size cap at every call."""
+    check_cap(comb(len(B) + 1, 2), "fiber enumeration")
     return B._sortable_verdict
 
 

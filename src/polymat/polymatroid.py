@@ -99,7 +99,7 @@ class BaseSet(VectorSet):
         return RankFunction(self.n, _max_subset_sums(self.vectors, self.n))
 
     @cached_property
-    def _base_verdict(self) -> Verdict:
+    def _verdict(self) -> Verdict:
         """:func:`is_base_set`'s verdict, decided once per base set."""
         if rank_table_fits(self.n, len(self)):
             rho, size = self._table, len(self)
@@ -132,6 +132,11 @@ class RankFunction:
 
     def __call__(self, mask: int) -> int:
         return self.values[mask]
+
+    @cached_property
+    def _verdict(self) -> Verdict:
+        """:func:`validate_rank_function`'s verdict, decided once per table."""
+        return _axiom_failure(self)
 
 
 @dataclass(frozen=True)
@@ -283,13 +288,13 @@ def is_base_set(B: BaseSet) -> Verdict:
     with u(j) < v(j) and u - e_i + e_j in B.  B keeps the verdict; the
     bases of a polymatroid and its lift carry it from the start.
     """
-    return B._base_verdict
+    return B._verdict
 
 
-def _proven(B: BaseSet) -> BaseSet:
-    """B, which a theorem proves a base set, with that verdict set."""
-    B.__dict__["_base_verdict"] = Verdict(True)
-    return B
+def _proven(value: BaseSet | RankFunction) -> BaseSet | RankFunction:
+    """A base set or rank function that a theorem proves one, with that verdict kept."""
+    value.__dict__["_verdict"] = Verdict(True)
+    return value
 
 
 # --- single swaps: which u - e_i + e_j stay in B -----------------------------
@@ -513,12 +518,18 @@ def validate_rank_function(rho: RankFunction) -> Verdict:
     Witnesses: ("empty",), ("monotone", A, A + i) with rho(A) > rho(A + i),
     or ("submodular", A + i, A + j) with rho(A + i) + rho(A + j) < rho(A + i
     + j) + rho(A), for i < j outside A; the least failing (A, i) or (A, i,
-    j), every monotone failure first.  rho(A) - min(rho) fills field A of
-    one int, in whole bytes with two top bits clear, so each i, and each i <
-    j, is one guarded subtraction of shifted copies, whose cleared guard
-    bits in the fields A without i (and j) are the failures.  An axiom's
-    failures are ORed into one int, and sought again only for a witness.
+    j), every monotone failure first.  rho keeps the verdict: each table is
+    checked once, and one that a theorem proves carries it from the start.
     """
+    return rho._verdict
+
+
+def _axiom_failure(rho: RankFunction) -> Verdict:
+    """:func:`validate_rank_function`'s check.  rho(A) - min(rho) fills field
+    A of one int, in whole bytes with two top bits clear, so each i, and each
+    i < j, is one guarded subtraction of shifted copies, whose cleared guard
+    bits in the fields A without i (and j) are the failures.  An axiom's
+    failures are ORed into one int, and sought again only for a witness."""
     vals, n = rho.values, rho.n
     if vals[0] != 0:
         return Verdict(False, ("empty",))

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import io
 import json
 import re
 from contextlib import redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -381,16 +383,15 @@ def test_rank_function_documents_stand_for_their_polymatroid(capsys, tmp_path, s
 
 def test_rank_function_document_is_validated_once(capsys, monkeypatch, tmp_path):
     # the reader checks the axioms once, with its own message, and the
-    # polymatroid is built from the checked table without a second check
+    # polymatroid is built from the checked table, which keeps its verdict
     checked = []
-    validate = polymatroid.validate_rank_function
+    check = polymatroid._axiom_failure
 
     def counted(rho):
         checked.append(rho.values)
-        return validate(rho)
+        return check(rho)
 
-    for module in (cli, polymatroid):
-        monkeypatch.setattr(module, "validate_rank_function", counted)
+    monkeypatch.setattr(polymatroid, "_axiom_failure", counted)
     rho = write(tmp_path, "rho.json", {"kind": "rank-function", "n": 3, "values": [0] + [3] * 7})
     code, report = run(capsys, "bases", rho)
     assert code == 0 and len(report["result"]["vectors"]) == 10
@@ -435,17 +436,16 @@ def test_a_base_set_builds_and_proves_its_rank_table_once(capsys, monkeypatch, s
 
 
 def test_facets_and_criterion_validate_a_rank_function_document_once(capsys, monkeypatch, tmp_path):
-    # the reader checks the axioms; the facets and the dilation are read off
-    # the checked table, though the public algebra functions still validate
+    # the reader checks the axioms; the public algebra functions validate the
+    # checked table again, which reads the verdict it keeps
     checked = []
-    validate = polymatroid.validate_rank_function
+    check = polymatroid._axiom_failure
 
     def counted(rho):
         checked.append(rho.values)
-        return validate(rho)
+        return check(rho)
 
-    for module in (cli, polymatroid, algebra):
-        monkeypatch.setattr(module, "validate_rank_function", counted)
+    monkeypatch.setattr(polymatroid, "_axiom_failure", counted)
     rho = write(tmp_path, "rho.json", {"kind": "rank-function", "n": 3, "values": [0] + [1] * 7})
     code, report = run(capsys, "facets", rho)
     assert code == 0 and report["result"]["rank_facets"] == [{"rank": 1, "subset": [1, 2, 3]}]
@@ -463,6 +463,35 @@ def test_facets_and_criterion_validate_a_rank_function_document_once(capsys, mon
     checked.clear()
     assert algebra.ehrhart_gorenstein(polymatroid.RankFunction(3, (0,) + (1,) * 7)) == 4
     assert len(checked) == 1
+
+
+def test_sortable_size_cap_exits_two(capsys, monkeypatch, strong_five_file):
+    # five bases make 15 degree-2 multisets
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "14")
+    code, report = run(capsys, "sortable", strong_five_file)
+    assert code == 2
+    assert report["error"] == "fiber enumeration needs 15 points, cap is 14"
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "15")
+    code, report = run(capsys, "sortable", strong_five_file)
+    assert code == 0 and report["verdict"] is True
+
+
+def test_private_names_stay_inside_the_library():
+    # the point enumeration and its packaging are named only in polymatroid.py,
+    # and the CLI imports public names alone (dunders such as __version__ aside)
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if path.name != "polymatroid.py":
+            assert not names & {"_package", "_points_within"}, path.name
+    nodes = ast.walk(ast.parse((package / "cli.py").read_text()))
+    relative = [node for node in nodes if isinstance(node, ast.ImportFrom) and node.level]
+    imported = [alias.name for node in relative for alias in node.names]
+    assert "validate_rank_function" in imported
+    assert [name for name in imported if name.startswith("_") and not name.endswith("__")] == []
 
 
 def test_hilbert_size_cap_exits_two(capsys, monkeypatch, simplex3_file):
@@ -630,13 +659,13 @@ def test_construct_veronese_is_refused_by_its_entries(capsys):
 
 
 def test_unexpected_exception_exits_two(capsys, monkeypatch, strong_five_file):
-    def broken(value, args):
-        raise RuntimeError("handler fault")
+    def broken(B):
+        raise RuntimeError("library fault")
 
-    monkeypatch.setattr("polymat.cli._cmd_result", broken)
+    monkeypatch.setattr("polymat.cli.is_base_set", broken)
     code, report = run(capsys, "bases", strong_five_file)
     assert code == 2
-    assert report["error"] == "internal error: RuntimeError: handler fault"
+    assert report["error"] == "internal error: RuntimeError: library fault"
     assert report["command"] == "bases"
 
 

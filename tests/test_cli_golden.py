@@ -7,22 +7,28 @@ line, less its timing field, must equal the golden report dumped the way
 ``main`` dumps it.  An argument ``@name`` stands for the path of
 document ``name`` below.
 
-``PYTHONPATH=src python tests/test_cli_golden.py`` rewrites the golden file from the
-current code; do that only for a change of report that is meant.
+``golden/cli_help.jsonl`` holds what ``polymat -h`` and each
+subcommand's ``-h`` print at a width of 80 columns, pinned the same way.
+
+``PYTHONPATH=src python tests/test_cli_golden.py`` rewrites both golden files from the
+current code; do that only for a change of report or help text that is meant.
 """
 
 import argparse
 import io
 import json
+import os
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from polymat.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_reports.jsonl"
+HELP_GOLDEN = GOLDEN.with_name("cli_help.jsonl")
 TIMING = re.compile(r', "timing_ms": \d+')
 
 DOCUMENTS = {
@@ -207,12 +213,50 @@ def test_report_matches_golden(tmp_path, index):
     assert (code, line) == (entry["code"], want)
 
 
+def _help_calls() -> list:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [["-h"]] + [[name, "-h"] for name in sub.choices]
+
+
+HELP_CALLS = _help_calls()
+
+
+def _help(argv) -> tuple:
+    """Exit status and text of ``polymat *argv`` for a help request, 80 columns wide."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+    raise AssertionError(f"{argv} did not exit")
+
+
+def _help_golden():
+    return [json.loads(line) for line in HELP_GOLDEN.read_text().splitlines()]
+
+
+def test_help_golden_covers_the_parser_and_every_subcommand():
+    assert [entry["argv"] for entry in _help_golden()] == HELP_CALLS
+
+
+@pytest.mark.parametrize("index", range(len(HELP_CALLS)), ids=[" ".join(argv) for argv in HELP_CALLS])
+def test_help_matches_golden(index):
+    entry = _help_golden()[index]
+    assert _help(entry["argv"]) == (0, entry["text"])
+
+
 def _write_golden(docdir: Path) -> None:
     with GOLDEN.open("w") as out:
         for argv in CALLS:
             code, line = _call(argv, docdir)
             entry = {"argv": argv, "code": code, "report": json.loads(line)}
             out.write(json.dumps(entry, sort_keys=True) + "\n")
+    with HELP_GOLDEN.open("w") as out:
+        for argv in HELP_CALLS:
+            code, text = _help(argv)
+            assert code == 0, argv
+            out.write(json.dumps({"argv": argv, "text": text}, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

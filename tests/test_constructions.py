@@ -334,9 +334,9 @@ def test_veronese_and_transversal_bases_carry_a_verdict_that_a_fresh_proof_confi
         fam = tuple(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 4)))
         sets.append(transversal(TransversalPresentation(n, fam))[0])
     for B in sets:
-        assert "_base_verdict" in vars(B) and is_base_set(B)
+        assert "_verdict" in vars(B) and is_base_set(B)
         fresh = base_set(B.vectors, B.n)
-        assert "_base_verdict" not in vars(fresh)
+        assert "_verdict" not in vars(fresh)
         assert polymatroid.base_set_rank(fresh) is not None and is_base_set(fresh), sorted(B.vectors)
 
 

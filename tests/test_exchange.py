@@ -2,6 +2,7 @@ import dataclasses
 import time
 from collections import Counter
 from itertools import permutations
+from math import comb
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from polymat import exchange, polymatroid, toric
 from polymat import (
     ExchangeMode,
+    SizeCapExceeded,
     Verdict,
     base_set,
     exchange_property,
@@ -434,6 +436,36 @@ def test_sortable_verdict_is_decided_once_per_base_set(scan_pool, monkeypatch):
             checked += len(order) > 1
         sortable += witness is None
     assert checked > 100 and 0 < sortable < len(scan_pool)
+
+
+def test_sortable_pairs_are_charged_to_the_cap_before_they_are_listed(monkeypatch, borel_0101):
+    """is_sortable charges the comb(|B| + 1, 2) degree-2 multisets of B to
+    the size cap at every call, as fibers(B, 2) does: one below, it is
+    refused and no multiset is listed; at the cap the verdict is the
+    oracle's, and the kept verdict is refused again below it."""
+    big = veronese((3,) * 7, 8)  # built under the default cap
+    listed = []
+    fiber_sums = polymatroid._fiber_sums
+    monkeypatch.setattr(polymatroid, "_fiber_sums", lambda *args: listed.append(args) or fiber_sums(*args))
+    for B in (veronese((2, 2, 2, 2), 3), borel_0101):
+        pairs = comb(len(B) + 1, 2)
+        refusal = f"fiber enumeration needs {pairs} points, cap is {pairs - 1}"
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(pairs - 1))
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            is_sortable(B)
+        assert listed == []
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(pairs))
+        witness = oracles.sortable_first_failure(B.vectors)
+        assert is_sortable(B) == Verdict(witness is None, witness) and len(listed) == 1
+        monkeypatch.setenv("POLYMAT_MAX_POINTS", str(pairs - 1))
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            is_sortable(B)
+        listed.clear()
+    # 1,554 bases hold 1,208,235 degree-2 multisets
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "1000")
+    with pytest.raises(SizeCapExceeded, match="fiber enumeration needs 1208235 points, cap is 1000"):
+        is_sortable(big)
+    assert listed == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,15 +1,17 @@
+import json
 import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
-from operator import add
+from operator import add, and_, or_
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import polymat.constructions as constructions
 import polymat.polymatroid as polymatroid
 from polymat import (
     RankFunction,
@@ -35,12 +37,15 @@ from polymat import (
     rank_function,
     rank_function_from_values,
     random_rank_function,
+    sublattice,
+    sublattice_polymatroid,
     subset_mask,
     truncate,
     validate_rank_function,
     vector_set,
     vertices,
 )
+from polymat.cli import parse_document
 
 
 def constant_rank(n, d):
@@ -296,6 +301,58 @@ def test_validate_rank_function_matches_the_loops(instance_pool, positive_pool):
     assert min(wide[kind] for kind in (None, "empty", "monotone", "submodular")) >= 100
     # below a zero empty entry, a negative entry fails monotonicity first
     assert min(negative[kind] for kind in ("empty", "monotone")) >= 200
+
+
+def test_kept_rank_verdicts_match_a_fresh_check(instance_pool, positive_pool, monkeypatch):
+    # a table keeps the verdict it was checked with, or the one a theorem
+    # gives it: the pools' tables and copies with one entry moved, validated;
+    # the rank of each base set, and of each without its middle base, after
+    # is_base_set; and the sublattice tables, which are never checked.  A
+    # fresh table of the same values gets the same verdict.
+    proven = []
+    build = constructions.polymatroid_from_rank
+    monkeypatch.setattr(constructions, "polymatroid_from_rank", lambda rho: proven.append(rho) or build(rho))
+    checked = []
+    check = polymatroid._axiom_failure
+    monkeypatch.setattr(polymatroid, "_axiom_failure", lambda rho: checked.append(rho) or check(rho))
+    rng, kept = Random(31), []
+    for rho, P in instance_pool + positive_pool:
+        n, moved = rho.n, list(rho.values)
+        moved[rng.randrange(1 << n)] += rng.choice((-1, 1))
+        for values in (rho.values, tuple(moved)):
+            kept.append(RankFunction(n, values))
+            validate_rank_function(kept[-1])
+        members = sorted(P.bases)
+        for vectors in (members, members[: len(members) // 2] + members[len(members) // 2 + 1 :]):
+            if vectors:
+                B = base_set(vectors, n)
+                is_base_set(B)
+                kept.append(rank_function(B))
+        lattice = {0, (1 << n) - 1} | {rng.randrange(1 << n) for _ in range(2)}
+        while any(a | b not in lattice or a & b not in lattice for a in lattice for b in lattice):
+            lattice |= {op(a, b) for a in lattice for b in lattice for op in (or_, and_)}
+        sublattice_polymatroid(sublattice(n, lattice), {m: rho.values[m] for m in lattice})
+    assert not set(map(id, proven)) & set(map(id, checked))
+    holds = Counter()
+    for theorem, tables in ((False, kept), (True, proven)):
+        for rho in tables:
+            assert "_verdict" in vars(rho), rho
+            verdict = validate_rank_function(RankFunction(rho.n, rho.values))
+            assert (rho._verdict.holds, rho._verdict.witness) == (verdict.holds, verdict.witness), rho
+            holds[theorem, verdict.holds] += 1
+    assert (holds[True, True], holds[True, False]) == (250, 0)
+    assert min(holds[False, True], holds[False, False]) >= 100, holds
+    # tables from outside keep no verdict until they are validated
+    for rho, _ in positive_pool:
+        document = {"kind": "rank-function", "n": rho.n, "values": list(rho.values)}
+        outside = (
+            RankFunction(rho.n, rho.values),
+            rank_function_from_values(rho.values, rho.n),
+            parse_document(json.dumps(document)).value,
+        )
+        for table in outside:
+            assert "_verdict" not in vars(table)
+            assert validate_rank_function(table) and "_verdict" in vars(table)
 
 
 def test_validate_rank_function_holds_a_few_tables_at_once():
