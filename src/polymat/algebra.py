@@ -231,6 +231,12 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
     """Degree-by-degree saturation: every lattice point of the scaled
     hull lying in the right residue class must be a sum of generators.
 
+    The hull is decided on the generators that are not the midpoint of
+    two others, once per call: a midpoint of two distinct points is never
+    a vertex, so the hull, every verdict and the number of simplex calls
+    stay those of all generators; only the columns are fewer.  When
+    comb(|G|, 2) passes the size cap, every generator is kept.
+
     Witness on failure: (t, x) for a point x of degree t inside the
     hull and the difference lattice but not expressible as a t-fold sum.
     """
@@ -239,7 +245,8 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
     gens = sorted(G.gens)
     mods = {modulus(g) for g in gens}
     shared = mods.pop() if len(mods) == 1 else None
-    pack, _, packed = packer(gens, t_max)
+    pack, _, packed = packer(gens, max(t_max, 2))
+    columns = _hull_columns(gens, packed)
     checked = 0
     for t, level in enumerate(sum_levels([packed] * t_max, "normality level"), 1):
         lo = [t * min(g[c] for g in gens) for c in range(G.n)]
@@ -253,9 +260,20 @@ def normality_check(G: GradedGenerators, t_max: int) -> Verdict:
                 continue
             if not in_lattice(G.lattice, [a - b for a, b in zip(x, anchor)]):
                 continue
-            if in_scaled_hull(gens, x, t):
+            if in_scaled_hull(columns, x, t):
                 return Verdict(False, (t, x))
     return Verdict(True)
+
+
+def _hull_columns(gens: list, packed: list) -> list:
+    """The sorted generators that are not the midpoint of two others; all
+    of them when comb(|G|, 2) passes the size cap.  The packings hold sums
+    of two without carries, so g is such a midpoint exactly when 2g - a
+    packs to a generator for some generator a other than g."""
+    if comb(len(gens), 2) > max_points():
+        return gens
+    members = set(packed)
+    return [g for g, p in zip(gens, packed) if not any(2 * p - q in members for q in packed if q != p)]
 
 
 # --- facets and the Gorenstein criterion for the point ring ------------------

@@ -74,7 +74,9 @@ def in_scaled_hull(points: Sequence[Sequence[int]], target: Sequence[int], scale
 
     Equivalent to feasibility of sum(l_p * p) = target, sum(l_p) = scale,
     l >= 0, settled by a phase-one simplex with Bland's rule (no cycling)
-    on a fraction-free integer tableau (Edmonds 1967, Bareiss 1968).
+    on a fraction-free integer tableau (Edmonds 1967, Bareiss 1968).  The
+    hull depends only on its vertices, so any set of points holding them
+    gives the same verdict, with fewer columns the fewer the points.
 
     Each entry is the rational tableau entry times the determinant d of
     the current basis, which starts at 1.  A pivot on p > 0 keeps the

@@ -95,8 +95,12 @@ class BaseSet(VectorSet):
 
     @cached_property
     def _table(self) -> RankFunction:
-        """:func:`rank_function`'s table, built once per base set."""
-        return RankFunction(self.n, _max_subset_sums(self.vectors, self.n))
+        """:func:`rank_function`'s table, built once per base set.  The
+        rank of a base set is a rank function, so a table built after B
+        was proved one, as a theorem proves it of a polymatroid's bases
+        or a construction, keeps that verdict."""
+        rho = RankFunction(self.n, _max_subset_sums(self.vectors, self.n))
+        return _proven(rho) if self.__dict__.get("_verdict") else rho
 
     @cached_property
     def _verdict(self) -> Verdict:
@@ -286,7 +290,8 @@ def is_base_set(B: BaseSet) -> Verdict:
     one-sided exchange scan (every deficit coordinate admits a repair
     swap) decides the rest, with witness (u, v, i): u(i) > v(i) but no j
     with u(j) < v(j) and u - e_i + e_j in B.  B keeps the verdict; the
-    bases of a polymatroid and its lift carry it from the start.
+    bases of a polymatroid and its lift carry it from the start, and so
+    does their rank table.
     """
     return B._verdict
 

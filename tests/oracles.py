@@ -963,6 +963,35 @@ def in_scaled_hull(points, target, scale):
     return obj[-1] == 0
 
 
+def normality_scan(G, t_max):
+    """The saturation scan of ``normality_check`` before its hull columns
+    were pruned, as (holds, witness): every generator is a column of each
+    integer simplex call, and the sums are packed for t_max of them."""
+    from polymat.core import box_count, box_points, check_cap, modulus, packer, sum_levels
+    from polymat.intlinalg import in_lattice, in_scaled_hull as integer_hull
+
+    gens = sorted(G.gens)
+    mods = {modulus(g) for g in gens}
+    shared = mods.pop() if len(mods) == 1 else None
+    pack, _, packed = packer(gens, t_max)
+    checked = 0
+    for t, level in enumerate(sum_levels([packed] * t_max, "normality level"), 1):
+        lo = [t * min(g[c] for g in gens) for c in range(G.n)]
+        hi = [t * max(g[c] for g in gens) for c in range(G.n)]
+        anchor = tuple(t * a for a in G.origin)
+        total = t * shared if shared is not None else None
+        checked += box_count(lo, hi, total)
+        check_cap(checked, "normality box enumeration")
+        for x in box_points(lo, hi, total):
+            if pack(x) in level:
+                continue
+            if not in_lattice(G.lattice, [a - b for a, b in zip(x, anchor)]):
+                continue
+            if integer_hull(gens, x, t):
+                return False, (t, x)
+    return True, None
+
+
 def prefixes(upper, depth, x=(), sums=(0,)):
     """Every x >= 0 on the first depth coordinates with x(A) <= upper[A]
     for each nonempty mask A inside them, lexicographically, by the

@@ -141,7 +141,8 @@ def test_criterion_05_hull_round_trip(instance_pool):
     for k, (_, P) in enumerate(instance_pool):
         if not hull_consistency(P):
             failures.append((k, "hull"))
-        if not validate_rank_function(rank_function(P.base_set)):
+        rho = rank_function(P.base_set)  # a fresh table: P's bases carry their proof
+        if not validate_rank_function(RankFunction(rho.n, rho.values)):
             failures.append((k, "rank function invalid"))
     _finish(5, "hull round trip on the same 200 instances", failures, started, 60.0)
 
@@ -229,7 +230,7 @@ def test_criterion_10_generic_gorenstein_round_trip():
             for extra in (2, 3):
                 d = sum(alpha) + extra
                 rho = generic_gorenstein_rank(GenericGorensteinParams(alpha, d))
-                if not validate_rank_function(rho):
+                if not validate_rank_function(RankFunction(rho.n, rho.values)):
                     failures.append((alpha, d, "invalid"))
                     continue
                 P = polymatroid_from_rank(rho)

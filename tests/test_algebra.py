@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from random import Random
 
@@ -22,6 +22,7 @@ from polymat import (
     ehrhart_gorenstein,
     generic_gorenstein_rank,
     graded_generators,
+    greedy_vertex,
     h_star,
     hilbert_function,
     hilbert_values,
@@ -34,6 +35,7 @@ from polymat import (
     subset_mask,
     validate_rank_function,
     vector_set,
+    vertices,
     veronese,
 )
 
@@ -434,10 +436,19 @@ def test_normality_verdicts_match_fraction_simplex(monkeypatch, instance_pool, p
     cases += [(ehrhart_generators(P), 1) for _, P in positive_pool]
     verdicts = [normality_check(G, t) for G, t in cases]
     calls = []
-    monkeypatch.setattr(
-        algebra, "in_scaled_hull", lambda *args: calls.append(args) or oracles.in_scaled_hull(*args)
-    )
-    assert [normality_check(G, t) for G, t in cases] == verdicts
+
+    def fraction_simplex(columns, target, scale):
+        # the pruned columns and all generators give the same verdict
+        verdict = oracles.in_scaled_hull(columns, target, scale)
+        assert verdict == oracles.in_scaled_hull(sorted(G.gens), target, scale), (G, target)
+        calls.append(columns)
+        return verdict
+
+    monkeypatch.setattr(algebra, "in_scaled_hull", fraction_simplex)
+    again = []
+    for G, t in cases:
+        again.append(normality_check(G, t))
+    assert again == verdicts
     assert verdicts[:2] == [Verdict(False, (1, (2, 1))), Verdict(False, (1, (1, 2)))]
     assert len(calls) > 500
 
@@ -448,6 +459,109 @@ def test_normality_on_positive_pool(positive_pool, seed):
     _, P = positive_pool[seed]
     assert normality_check(ehrhart_generators(P), 2)
     assert normality_check(base_ring_generators(P.base_set), 2)
+
+
+def hull_columns(G):
+    """The generators normality_check hands the simplex, and the rest;
+    each of the rest lies in the hull of the kept ones."""
+    import polymat.algebra as algebra
+    from polymat.core import packer
+
+    gens = sorted(G.gens)
+    kept = algebra._hull_columns(gens, packer(gens, 2)[2])
+    dropped = [g for g in gens if g not in kept]
+    for g in dropped:
+        assert oracles.in_scaled_hull(kept, g, 1), (G, g)
+    return kept, dropped
+
+
+def scan_matches(G, t_max):
+    verdict = normality_check(G, t_max)
+    assert (verdict.holds, verdict.witness) == oracles.normality_scan(G, t_max), (G, t_max)
+    return verdict
+
+
+def test_normality_matches_the_all_generator_scan(instance_pool, positive_pool):
+    # the instance pool's Ehrhart rings run only up to 40 points: the scan
+    # on all of them takes about 25 s at t_max = 1 alone
+    rings = [(base_ring_generators(P.base_set), P, False) for _, P in instance_pool + positive_pool]
+    rings += [(ehrhart_generators(P), P, True) for _, P in positive_pool]
+    rings += [(ehrhart_generators(P), P, True) for _, P in instance_pool if len(P) <= 40]
+    pruned = 0
+    for G, P, points in rings:
+        assert G.rank is not None
+        rho = rank_function(P.base_set)
+        for t_max in (1, 2):
+            assert scan_matches(G, t_max)
+        kept, dropped = hull_columns(G)
+        if points:
+            assert {v + (1,) for v in vertices(rho).vectors} <= set(kept), P
+        else:
+            assert {greedy_vertex(rho, P.n, pi) for pi in permutations(range(1, P.n + 1))} <= set(kept), P
+        pruned += bool(dropped)
+    assert pruned >= 200, pruned
+    for gens, witness in (([(3, 0), (1, 2), (0, 3)], (1, (2, 1))), ([(3, 0), (2, 1), (0, 3)], (1, (1, 2)))):
+        hull_columns(graded_generators(gens))
+        for t_max in (1, 2):
+            assert scan_matches(graded_generators(gens), t_max).witness == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=8),
+    n=st.integers(2, 3),
+    homogeneous=st.booleans(),
+)
+def test_normality_matches_the_all_generator_scan_without_a_rank(raw, n, homogeneous):
+    # rank-less vector sets, some with a shared modulus (padded by one
+    # slack coordinate) and some with none
+    vectors = [tuple(v[:n]) for v in raw]
+    if homogeneous:
+        top = max(map(sum, vectors))
+        vectors = [v + (top - sum(v),) for v in vectors]
+    G = graded_generators(vectors)
+    assert G.rank is None
+    hull_columns(G)
+    for t_max in (1, 2):
+        scan_matches(G, t_max)
+
+
+def test_normality_pruning_guard_keeps_the_verdicts(monkeypatch):
+    # one below comb(|G|, 2) every generator goes to the simplex, at it only
+    # the pruned ones; the boxes and levels fit under both caps, and in the
+    # normal cases every lattice point of each box is a sum
+    import polymat.algebra as algebra
+
+    columns = []
+    check = algebra.in_scaled_hull
+    monkeypatch.setattr(algebra, "in_scaled_hull", lambda *args: columns.append(args[0]) or check(*args))
+    line = [(a, 8 - a) for a in range(9)]
+    simplex = sorted(veronese((3, 3, 3), 3).vectors)
+    square = list(product(range(3), repeat=2))  # no shared modulus
+    cases = [
+        (line, (1, 2), (True, None)),
+        ([u for u in line if u != (3, 5)], (1, 2), (False, (1, (3, 5)))),
+        (simplex, (1, 2), (True, None)),
+        ([u for u in simplex if u != (1, 1, 1)], (1,), (False, (1, (1, 1, 1)))),
+        (square, (1, 2), (True, None)),
+        ([u for u in square if u != (1, 1)], (1,), (False, (1, (1, 1)))),
+    ]
+    for vectors, degrees, expected in cases:
+        monkeypatch.delenv("POLYMAT_MAX_POINTS", raising=False)
+        G = graded_generators(vectors)
+        pairs = comb(len(G.gens), 2)
+        kept, _ = hull_columns(G)
+        for t_max in degrees:
+            verdicts = {}
+            for cap in (pairs - 1, pairs):
+                monkeypatch.setenv("POLYMAT_MAX_POINTS", str(cap))
+                columns.clear()
+                verdict = normality_check(G, t_max)
+                verdicts[cap] = (verdict.holds, verdict.witness)
+                assert all(c == (sorted(G.gens) if cap < pairs else kept) for c in columns)
+                assert bool(columns) != verdict.holds  # a gap is found by the simplex
+            assert verdicts[pairs - 1] == verdicts[pairs] == expected, (vectors, t_max)
+        assert len(kept) < len(G.gens)
 
 
 # --- facets ---------------------------------------------------------------------
@@ -561,7 +675,7 @@ def test_generic_gorenstein_construction_example():
 
 def test_generic_gorenstein_round_trip_small():
     rho = generic_gorenstein_rank(GenericGorensteinParams((2, 2), 6))
-    assert validate_rank_function(rho)
+    assert validate_rank_function(RankFunction(rho.n, rho.values))
     P = polymatroid_from_rank(rho)
     assert is_generic(P)
     assert base_ring_gorenstein(P.base_set)
@@ -573,7 +687,7 @@ def test_generic_gorenstein_rank_is_strictly_increasing_and_submodular():
         for alpha in product((2, 3), repeat=n - 1):
             for d in (sum(alpha) + 2, sum(alpha) + 5):
                 rho = generic_gorenstein_rank(GenericGorensteinParams(alpha, d))
-                assert validate_rank_function(rho), (alpha, d)
+                assert validate_rank_function(RankFunction(rho.n, rho.values)), (alpha, d)
                 vals = rho.values
                 assert all(
                     vals[mask] < vals[mask | 1 << i]

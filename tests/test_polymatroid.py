@@ -355,6 +355,31 @@ def test_kept_rank_verdicts_match_a_fresh_check(instance_pool, positive_pool, mo
             assert validate_rank_function(table) and "_verdict" in vars(table)
 
 
+def test_tables_of_proven_base_sets_keep_the_proof(monkeypatch):
+    # the bases of a polymatroid, a Veronese box, a lift and a transversal
+    # presentation are proved base sets, so their rank tables are proved
+    # rank functions: after the one check of the table P is built from,
+    # reading their ranks checks no axiom again
+    from polymat import ehrhart_gorenstein, transversal, transversal_presentation, veronese
+
+    checked = []
+    check = polymatroid._axiom_failure
+    monkeypatch.setattr(polymatroid, "_axiom_failure", lambda rho: checked.append(rho.values) or check(rho))
+    P = polymatroid_from_rank(RankFunction(3, (0,) + (2,) * 7))
+    assert checked == [(0,) + (2,) * 7]
+    assert ehrhart_gorenstein(rank_function(bases(P))) == 2
+    assert len(polymatroid_from_rank(rank_function(veronese((2, 2, 2), 3)))) == 17
+    assert validate_rank_function(rank_function(lift(P)))
+    assert validate_rank_function(rank_function(transversal(transversal_presentation(3, [[1], [1, 2]]))[0]))
+    assert checked == [(0,) + (2,) * 7]
+    # a base set from outside proves nothing of a table built before its
+    # verdict; deciding the verdict checks that table once
+    B = base_set(veronese((2, 2, 2), 3).vectors)
+    assert "_verdict" not in vars(rank_function(B))
+    assert is_base_set(B) and validate_rank_function(rank_function(B))
+    assert len(checked) == 2
+
+
 def test_validate_rank_function_holds_a_few_tables_at_once():
     """At n = 16 the check holds at most n + 4 packed tables (2^n fields of
     its width) at once beyond its guard masks, which are kept per (n, width)
