@@ -46,6 +46,7 @@ from .polymatroid import (
     DiscretePolymatroid,
     RankFunction,
     VectorSet,
+    _count_bases,
     base_set_rank,
     count_bases,
     is_base_set,
@@ -137,32 +138,39 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     """Number of distinct sums of t generators, for t = 0 .. t_max.
 
     With a rank function the values are counted by rank dilation; the
-    size cap bounds the prefixes each count visits.  Without one the
-    t-fold sumset is built level by level, refused while it is built.
+    size cap bounds the prefixes all the counts of one call visit, and the
+    call is refused at the first degree that takes their sum past it.
+    Without one the t-fold sumset is built level by level, refused while
+    it is built.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     if G.rank is not None:
-        cap = max_points()
-        return [_dilated_count(G.rank, t, cap) for t in range(t_max + 1)]
+        cap, spent, values = max_points(), 0, []
+        for t in range(t_max + 1):
+            count, work = _count_bases(G.rank, t, cap - spent)
+            if count is None:
+                raise SizeCapExceeded(
+                    f"Hilbert values up to degree {t} need more than {cap} prefixes, cap is {cap}"
+                )
+            values.append(count)
+            spent += work
+        return values
     _, _, packed = packer(G.gens, t_max)
     return [1] + [len(level) for level in sum_levels([packed] * t_max, "Hilbert function level")]
-
-
-def _dilated_count(rho: RankFunction, t: int, cap: int) -> int:
-    count = count_bases(rho, t, cap)
-    if count is None:
-        raise SizeCapExceeded(
-            f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
-        )
-    return count
 
 
 def hilbert_function(G: GradedGenerators, t: int) -> int:
     if t < 0:
         raise ValueError("degree must be nonnegative")
     if G.rank is not None:
-        return _dilated_count(G.rank, t, max_points())
+        cap = max_points()
+        count = count_bases(G.rank, t, cap)
+        if count is None:
+            raise SizeCapExceeded(
+                f"Hilbert function at degree {t} needs more than {cap} prefixes, cap is {cap}"
+            )
+        return count
     return hilbert_values(G, t)[t]
 
 

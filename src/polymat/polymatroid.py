@@ -608,11 +608,31 @@ def _reversed_fields(n: int, bits: int) -> tuple[list[int], int]:
     return shifts, ((1 << (bits << n)) - 1) // ((1 << bits) - 1)
 
 
+@lru_cache(maxsize=32)  # by counting order; the h* of a few dozen rings at n <= 6 reads 21
+def _relabelling(order: tuple) -> itemgetter:
+    """Reads a table on [n] in counting order: entry B of the result, bit k
+    of B for the k-th coordinate counted, is the entry at the mask of the
+    order[k] with k in B."""
+    return itemgetter(*subset_sums([1 << i for i in order]))
+
+
+def _in_counting_order(values: tuple, n: int) -> tuple:
+    """values relabelled so that the coordinates come in increasing order of
+    values[{i}], ties by index; values itself when that order is 1..n."""
+    singles = [values[1 << i] for i in range(n)]
+    if singles == sorted(singles):
+        return values
+    return _relabelling(tuple(sorted(range(n), key=singles.__getitem__)))(values)
+
+
 def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     """Integer bases of t*rho: u >= 0 with u(A) <= t*rho(A) for every A
     and |u| = t*rho([n]).
 
-    Counted by contraction, coordinate 1 first.  A state is a residual
+    Counted by contraction in counting order, the coordinates by
+    increasing rho({i}), ties by index: that leaves the widest ranges to
+    the closed form and lets more residual tables merge, and relabelling
+    the ground set leaves the count unchanged.  A state is a residual
     table g on the coordinates left; its full-set entry is the mass rem
     left.  Fixing the next coordinate at v, in [max(0, rem - g(rest)),
     g(next)], the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
@@ -628,24 +648,31 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     Each level is one pass over its states: it reads their intervals off
     the packed fields, drops the empty ones and sums what is due; the
     last reads its five fields straight into :func:`_last_two`.  Returns
-    None when more than ``limit`` prefixes of n - 2 coordinates are due
-    (each state times its interval's width), before counting them or
-    building the next level; the coordinates go in the oracles' order and
-    the refusal order is unchanged, so every None is theirs.  Every prefix
+    None when more than ``limit`` prefixes of the first n - 2 coordinates
+    in counting order are due (each state times its interval's width),
+    before counting them or building the next level; the oracles, given
+    the table in counting order, refuse at the same limits.  Every prefix
     of a rank function extends to a base, so such a table is refused at
     the first level past ``limit`` and no level built has more states.
     No point is stored.
     """
+    return _count_bases(rho, t, limit)[0]
+
+
+def _count_bases(rho: RankFunction, t: int, limit: int) -> tuple[int | None, int]:
+    """:func:`count_bases`'s count or None, with the prefixes of n - 2
+    coordinates due at the level that decided it: all of them when it
+    counts, none for n <= 2, which is counted in closed form."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
     n = rho.n
     r = tuple(t * v for v in rho.values)
     total = r[-1]
     if n == 1:
-        return 1
+        return 1, 0
     if n == 2:
-        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    table, bias, bits = _residual(r, n)
+        return max(0, min(total, r[1]) - max(0, total - r[2]) + 1), 0
+    table, bias, bits = _residual(_in_counting_order(r, n), n)
     field = (1 << bits - 1) - 1
     states = {table: 1}
     for left in range(n - 3, -1, -1):
@@ -659,7 +686,7 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
                 spans.append((g, mult, lo, hi))
                 due += mult * (hi - lo + 1)
         if due > limit and (not left or validate_rank_function(rho)):
-            return None
+            return None, due
         if not left:
             break
         low = (1 << shift) - 1
@@ -681,7 +708,7 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
         top, floor = (g >> 6 * bits & field) - bias, rem + bias - (g >> 5 * bits & field)
         ceil, gap = (g >> 2 * bits & field) - bias, rem + bias - (g >> bits & field)
         count += mult * _last_two(lo, hi, ceil, rem if rem < top else top, floor if floor > 0 else 0, gap)
-    return count
+    return count, due
 
 
 def _last_two(lo: int, hi: int, ceil: int, top: int, floor: int, gap: int) -> int:

@@ -210,10 +210,20 @@ def test_hilbert_cap_bounds_the_count(monkeypatch):
     G = base_ring_generators(B)
     assert G.rank is not None
     assert hilbert_values(G, 5) == closed_form
-    # no point is stored, so degrees whose sumset would pass the cap are counted
-    assert hilbert_values(G, 53)[53] == comb(161, 2)
-    with pytest.raises(SizeCapExceeded, match="more than 160 prefixes, cap is 160"):
-        hilbert_values(G, 54)
+    # no point is stored, so degrees whose sumset would pass the cap are
+    # counted; one call's degrees share the cap: degrees 0..9 visit
+    # 10 * 29 / 2 = 145 prefixes, and degree 10 takes them to 176
+    assert hilbert_values(G, 9)[9] == comb(29, 2)
+    with pytest.raises(SizeCapExceeded, match="degree 10 need more than 160 prefixes, cap is 160"):
+        hilbert_values(G, 10)
+    # one degree alone is refused only past 3t + 1 = 160
+    assert hilbert_function(G, 53) == comb(161, 2)
+    # the call is refused exactly when the sum passes the cap
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "145")
+    assert hilbert_values(G, 9) == [comb(3 * t + 2, 2) for t in range(10)]
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "144")
+    with pytest.raises(SizeCapExceeded, match="degree 9 need more than 144 prefixes, cap is 144"):
+        hilbert_values(G, 9)
     # below the table's cost the sumset serves, under the old level cap
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "100")
     G = base_ring_generators(B)

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 from operator import add, and_, or_
 from random import Random
 
@@ -27,6 +27,7 @@ from polymat import (
     downward_closure,
     ehrhart_generators,
     greedy_vertex,
+    h_star,
     hull_consistency,
     is_base_set,
     is_discrete_polymatroid,
@@ -34,6 +35,7 @@ from polymat import (
     membership,
     polymatroid_from_rank,
     polymatroid_sum,
+    principal_borel,
     rank_function,
     rank_function_from_values,
     random_rank_function,
@@ -43,6 +45,7 @@ from polymat import (
     truncate,
     validate_rank_function,
     vector_set,
+    veronese,
     vertices,
 )
 from polymat.cli import parse_document
@@ -738,13 +741,14 @@ def test_count_bases_matches_oracle_at_every_limit(instance_pool, positive_pool)
     for rho, _ in instance_pool + positive_pool:
         for t in (1, 2):
             _agrees_with_the_oracles_at_every_limit(rho, t)
-    # the lifted ranks that count the point rings, refused and in full
+    # the lifted ranks that count the point rings, refused in counting order
+    # and counted in full on the table as given
     for _, P in instance_pool:
         rho = ehrhart_generators(P).rank
         for t in (1, 2, 3):
-            for limit in (0, 10**9):
+            for limit, table in ((0, in_counting_order(rho)), (10**9, rho)):
                 got = count_bases(rho, t, limit)
-                assert all(oracle(rho, t, limit) == got for oracle in COUNT_ORACLES), (rho, t)
+                assert all(oracle(table, t, limit) == got for oracle in COUNT_ORACLES), (rho, t)
 
 
 COUNT_ORACLES = (
@@ -755,23 +759,39 @@ COUNT_ORACLES = (
 )
 
 
+def in_counting_order(rho):
+    """rho relabelled by the library into the order count_bases counts in,
+    the order whose prefixes its limit bounds; the oracles count 1..n."""
+    return RankFunction(rho.n, polymatroid._in_counting_order(rho.values, rho.n))
+
+
+def _agrees_with_the_oracles_on_the_table(rho, counted, t, got, oracles_used):
+    """The count equals every oracle's on rho itself, unbounded, where
+    counting order relabels it."""
+    if counted != rho:
+        for oracle in oracles_used:
+            assert oracle(rho, t, 10**12) == got, (oracle.__name__, rho, t)
+
+
 def _agrees_with_the_oracles_at_every_limit(rho, t):
-    """The count, or None, equals every oracle's at every limit from 0 up to
-    the first that gives a count."""
-    limit = 0
+    """The count, or None, equals every oracle's on rho in counting order at
+    every limit from 0 up to the first that gives a count."""
+    counted, limit = in_counting_order(rho), 0
     while (got := count_bases(rho, t, limit)) is None:
         for oracle in COUNT_ORACLES:
-            assert oracle(rho, t, limit) is None, (oracle.__name__, rho, t, limit)
+            assert oracle(counted, t, limit) is None, (oracle.__name__, rho, t, limit)
         limit += 1
     for oracle in COUNT_ORACLES:
-        assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
+        assert oracle(counted, t, limit) == got, (oracle.__name__, rho, t, limit)
+    _agrees_with_the_oracles_on_the_table(rho, counted, t, got, COUNT_ORACLES)
 
 
 def _agrees_with_the_oracles_at_the_threshold(rho, t, oracles_used=COUNT_ORACLES):
     """Every counter gives None below one limit and its count from there on,
     so agreeing at that limit and the one below is agreeing at every limit.
-    The limit is found by bisection, for counts too many to walk."""
-    below, limit = -1, 0
+    The limit is found by bisection, for counts too many to walk, and the
+    oracles read rho in counting order."""
+    counted, below, limit = in_counting_order(rho), -1, 0
     while count_bases(rho, t, limit) is None:
         below, limit = limit, 2 * limit + 1
     while limit - below > 1:
@@ -782,13 +802,15 @@ def _agrees_with_the_oracles_at_the_threshold(rho, t, oracles_used=COUNT_ORACLES
             limit = mid
     got = count_bases(rho, t, limit)
     for oracle in oracles_used:
-        assert oracle(rho, t, limit) == got, (oracle.__name__, rho, t, limit)
-        assert below < 0 or oracle(rho, t, below) is None, (oracle.__name__, rho, t, below)
+        assert oracle(counted, t, limit) == got, (oracle.__name__, rho, t, limit)
+        assert below < 0 or oracle(counted, t, below) is None, (oracle.__name__, rho, t, below)
+    _agrees_with_the_oracles_on_the_table(rho, counted, t, got, oracles_used)
 
 
-def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
-    # tables with entries in -1..4: uniform ones, which mostly have no base,
-    # and rank functions with a few entries redrawn, which often keep some
+def _tables_that_are_not_submodular():
+    """200 seeded (table, degree) pairs, n = 3-6 and t = 0-3, the tables with
+    entries in -1..4: uniform ones, which mostly have no base, and rank
+    functions with a few entries redrawn, which often keep some."""
     rng = Random(13)
     tables = []
     for _ in range(200):
@@ -799,10 +821,15 @@ def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
             values = list(random_rank_function(rng, n, 4).values)
             for _ in range(rng.randint(1, 3)):
                 values[rng.randrange(1, 1 << n)] = rng.randint(-1, 4)
-        rho = RankFunction(n, tuple(values))
-        tables.append(rho)
-        _agrees_with_the_oracles_at_every_limit(rho, rng.randint(0, 3))
-    others = [rho for rho in tables if not validate_rank_function(rho)]
+        tables.append((RankFunction(n, tuple(values)), rng.randint(0, 3)))
+    return tables
+
+
+def test_count_bases_matches_both_oracles_on_tables_that_are_not_submodular():
+    tables = _tables_that_are_not_submodular()
+    for rho, t in tables:
+        _agrees_with_the_oracles_at_every_limit(rho, t)
+    others = [rho for rho, _ in tables if not validate_rank_function(rho)]
     assert len(others) >= 180
     assert sum(count_bases(rho, 2, 10**9) > 0 for rho in others) >= 50
 
@@ -851,8 +878,10 @@ def test_count_bases_matches_the_oracles_on_wide_fields_and_large_ground_sets():
 
 def test_count_bases_on_three_coordinates_runs_no_contraction_level():
     # rho(A) = min(|A|, 1) with a loop at coordinate 3: the bases of t*rho are
-    # the t + 1 ways to split t between coordinates 1 and 2
+    # the t + 1 ways to split t between coordinates 1 and 2, which are
+    # counted after it
     rho = RankFunction(3, (0, 1, 1, 1, 0, 1, 1, 1))
+    assert in_counting_order(rho).values == (0, 0, 1, 1, 1, 1, 1, 1)
     for t in range(5):
         assert count_bases(rho, t, 10**9) == t + 1
         _agrees_with_the_oracles_at_every_limit(rho, t)
@@ -883,6 +912,60 @@ def test_count_bases_matches_the_contraction_oracle_up_to_the_dimension(instance
     for G in rings:
         for t in range(G.dim + 1):
             _agrees_with_the_oracles_at_the_threshold(G.rank, t, (oracles.count_bases_contraction,))
+
+
+def relabelled(rho, order):
+    """rho with coordinate k + 1 standing for coordinate order[k] + 1."""
+    masks = [0]
+    for i in order:
+        masks += [mask | 1 << i for mask in masks]
+    return RankFunction(rho.n, tuple(rho.values[mask] for mask in masks))
+
+
+def test_count_bases_is_the_same_under_every_relabelling(instance_pool, positive_pool):
+    rng = Random(29)
+    tables = [(random_rank_function(rng, n, rng.randint(1, 3)), t) for n in range(2, 6) for t in range(4)] * 3
+    tables += _tables_that_are_not_submodular()
+    tables += [(ehrhart_generators(P).rank, 2) for _, P in instance_pool + positive_pool]
+    relabelled_ones = 0
+    for rho, t in tables:
+        got = count_bases(rho, t, 10**12)
+        for order in permutations(range(rho.n)):
+            assert count_bases(relabelled(rho, order), t, 10**12) == got, (rho, t, order)
+        relabelled_ones += in_counting_order(rho) != rho
+    assert relabelled_ones >= 200
+    # a table already in counting order is read as it is
+    for rho in (constant_rank(5, 2), rank_function(veronese((3, 3, 3), 3))):
+        assert polymatroid._in_counting_order(rho.values, rho.n) is rho.values
+
+
+def test_h_star_of_every_borel_generator_matches_the_contraction_oracle():
+    # the principal Borel sets of n = 4, 5 and modulus 4, 5 with a last entry
+    # of at least 1: their singleton ranks fall from coordinate 1 to n
+    generators = [
+        a for n in (4, 5) for d in (4, 5) for a in product(range(d + 1), repeat=n) if sum(a) == d and a[-1]
+    ]
+    assert len(generators) == 160
+    for a in generators:
+        G = base_ring_generators(base_set(principal_borel(a).vectors))
+        H = h_star(G).values
+        assert len(H) == G.dim + 1
+        for t, value in enumerate(H):
+            assert oracles.count_bases_contraction(G.rank, t, 10**12) == value, (a, t)
+
+
+def test_the_work_a_count_returns_is_its_least_limit(instance_pool):
+    # the prefixes hilbert_values charges to its one budget: a count needs
+    # exactly that limit
+    for rho, P in instance_pool[:80]:
+        for table in (rho, ehrhart_generators(P).rank):
+            for t in range(4):
+                count, work = polymatroid._count_bases(table, t, 10**9)
+                assert count == count_bases(table, t, work), (table, t)
+                if table.n < 3:
+                    assert work == 0
+                else:
+                    assert count_bases(table, t, work - 1) is None, (table, t)
 
 
 def test_count_bases_refuses_a_rank_function_at_the_first_level_past_the_limit(monkeypatch):
@@ -926,7 +1009,9 @@ def test_a_refused_count_does_no_work_past_its_refusal(monkeypatch, instance_poo
         if limit:
             assert count_bases(rho, 2, limit - 1) is None and calls == [], (rho, limit)
             refused += 1
-        assert count_bases(rho, 2, limit) == oracles.count_bases(rho, 2, limit) and calls, (rho, limit)
+        got = count_bases(rho, 2, limit)
+        assert got == oracles.count_bases(in_counting_order(rho), 2, limit) and calls, (rho, limit)
+        assert got == oracles.count_bases(rho, 2, 10**9), rho
     assert refused >= 20
     # refused at the first level, where coordinate 1 takes 0..t: building the
     # next level would hold t + 1 states of 2^(n - 1) fields
@@ -942,21 +1027,30 @@ def test_a_refused_count_does_no_work_past_its_refusal(monkeypatch, instance_poo
 
 
 def test_cached_shifts_and_guards_stay_within_a_few_entries():
-    """count_bases keeps a list of shifts per (n, field width) and
-    validate_rank_function its guard masks per (n, byte width), for later
-    calls.  A Hilbert series at n = 12 asks for a new width each time t
-    doubles; past each cache's bound the least recently used entry goes, so
-    the memory kept stays within a constant number of entries, one per
-    width seen up to the bound."""
+    """count_bases keeps a list of shifts per (n, field width) and a
+    relabelling per counting order, and validate_rank_function its guard
+    masks per (n, byte width), for later calls.  A Hilbert series at n = 12
+    asks for a new width each time t doubles, and modular tables at n = 12
+    for a new order with each order of their weights; past each cache's
+    bound the least recently used entry goes, so the memory kept stays
+    within a constant number of entries, one per width or order seen up to
+    the bound."""
     n = 12
     free = tuple(bin(mask).count("1") for mask in range(1 << n))
-    caches = (polymatroid._reversed_fields, polymatroid._field_guards)
+    orders = [tuple(Random(seed).sample(range(n), n)) for seed in range(40)]
+    assert len(set(orders)) == 40
+    caches = (polymatroid._reversed_fields, polymatroid._field_guards, polymatroid._relabelling)
     for cache in caches:
         cache.cache_clear()
     tracemalloc.start()
     try:
         for t in range(1, 201):
             assert count_bases(RankFunction(n, free), t, 0) is None
+        # weight k + 1 on order[k], so that order is the counting order
+        for order in orders:
+            weights = dict(zip(order, range(1, n + 1)))
+            modular = [sum(weights[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+            assert count_bases(RankFunction(n, tuple(modular)), 1, 0) is None
         for width in range(1, 5):
             assert validate_rank_function(RankFunction(n, tuple(v << 8 * width - 8 for v in free)))
         # then as many widths again as each bound, up to 50 bits and 24 bytes
@@ -977,9 +1071,15 @@ def test_cached_shifts_and_guards_stay_within_a_few_entries():
             entry = cache.__wrapped__(n, width)
             largest.append(tracemalloc.get_traced_memory()[0] - before)
             del entry
+        # relabellings are all of one size, each kept under a fresh order
+        # tuple, so one entry is measured as the cache keeps it
+        before = tracemalloc.get_traced_memory()[0]
+        polymatroid._in_counting_order(modular, n)
+        largest.append(tracemalloc.get_traced_memory()[0] - before)
+        caches[2].cache_clear()
     finally:
         tracemalloc.stop()
-    assert seen == [45, 24]  # fields of 6 to 50 bits, guards of 1 to 24 bytes
+    assert seen == [45, 24, 40]  # fields of 6 to 50 bits, guards of 1 to 24 bytes, 40 orders
     for cache, misses, size, most in zip(caches, seen, kept, largest):
         bound = cache.cache_info().maxsize
         assert bound is not None and bound < misses, cache
