@@ -137,16 +137,19 @@ def base_ring_generators(B: BaseSet) -> GradedGenerators:
 def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
     """Number of distinct sums of t generators, for t = 0 .. t_max.
 
-    With a rank function the values are counted by rank dilation; the
-    size cap bounds the prefixes all the counts of one call visit, and the
-    call is refused at the first degree that takes their sum past it.
-    Without one the t-fold sumset is built level by level, refused while
-    it is built.
+    A call of more degrees than the size cap is refused before any is
+    counted.  With a rank function the values are counted by rank dilation;
+    the cap bounds the prefixes all the counts of one call visit, at least
+    one per degree, refusing the call at the first degree that takes their
+    sum past it.  Without one the t-fold sumset is built level by level,
+    refused while it is built.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if t_max >= (cap := max_points()):
+        raise SizeCapExceeded(f"Hilbert values up to degree {t_max} need {t_max + 1} degrees, cap is {cap}")
     if G.rank is not None:
-        cap, spent, values = max_points(), 0, []
+        spent, values = 0, []
         for t in range(t_max + 1):
             count, work = _count_bases(G.rank, t, cap - spent)
             if count is None:
@@ -154,7 +157,7 @@ def hilbert_values(G: GradedGenerators, t_max: int) -> list[int]:
                     f"Hilbert values up to degree {t} need more than {cap} prefixes, cap is {cap}"
                 )
             values.append(count)
-            spent += work
+            spent += max(work, 1)
         return values
     _, _, packed = packer(G.gens, t_max)
     return [1] + [len(level) for level in sum_levels([packed] * t_max, "Hilbert function level")]

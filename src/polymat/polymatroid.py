@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, compress, permutations, product
+from itertools import accumulate, combinations, compress, permutations, product, repeat
 from itertools import combinations_with_replacement as multisets
 from math import prod
-from operator import itemgetter, le, lshift, mul, or_
+from operator import add, itemgetter, le, lshift, mul, or_
 from typing import Iterable, Iterator
 
 from .core import (
@@ -222,8 +222,7 @@ def downward_closure(S: VectorSet) -> VectorSet:
     check_cap(max((prod(e + 1 for e in u) for u in S.vectors), default=0), "downward closure")
     out: set = set()
     for u in S:
-        for v in product(*(range(e + 1) for e in u)):
-            out.add(v)
+        out.update(product(*(range(e + 1) for e in u)))
         check_cap(len(out), "downward closure")
     return VectorSet(S.n, frozenset(out))
 
@@ -499,8 +498,8 @@ def _check_table(n: int, count: int) -> None:
 def _max_subset_sums(vectors, n: int) -> tuple:
     """For every subset A of [n] (by bitmask), the largest u(A) over the
     vectors; refused before it is built when :func:`rank_table_fits` does
-    not allow it.  A table is one int, u(A) in field A of whole bytes under
-    a guard bit: the sum of u(i) times the int with a one in each field
+    not allow it.  A table is one :func:`_pack` int with a guard bit atop
+    each field: the sum of u(i) times the int with a one in each field
     holding i.  The guard bits left by one subtraction pick each max.
     """
     _check_table(n, len(vectors))
@@ -512,8 +511,27 @@ def _max_subset_sums(vectors, n: int) -> tuple:
         table = sum(map(mul, u, units))
         more = ((best | guard) - table) & guard
         best = table ^ ((best ^ table) & (more - (more >> 8 * width - 1)))
-    data = best.to_bytes(width << n, "little")
-    return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, width << n, width))
+    return _unpack(best, n, width)
+
+
+def _pack(values, width: int, offset: int = 0) -> int:
+    """A table on 2^[n] as one int: field A holds values[A] + offset, at least
+    0 and below 256^width, in width whole bytes from byte A * width, little-endian."""
+    if width == 1:
+        return int.from_bytes(bytes(map(add, values, repeat(offset))), "little")
+    data = bytearray(width * len(values))
+    for k in range(width):
+        data[k::width] = bytes((v + offset) >> 8 * k & 255 for v in values)
+    return int.from_bytes(data, "little")
+
+
+def _unpack(table: int, n: int, width: int) -> tuple:
+    """The table on 2^[n] that :func:`_pack` packs into table."""
+    data = table.to_bytes(width << n, "little")
+    values = data[width - 1 :: width]  # the top byte of each field, then the next below
+    for k in range(width - 2, -1, -1):
+        values = [v << 8 | b for v, b in zip(values, data[k::width])]
+    return tuple(values)
 
 
 def validate_rank_function(rho: RankFunction) -> Verdict:
@@ -530,20 +548,17 @@ def validate_rank_function(rho: RankFunction) -> Verdict:
 
 
 def _axiom_failure(rho: RankFunction) -> Verdict:
-    """:func:`validate_rank_function`'s check.  rho(A) - min(rho) fills field
-    A of one int, in whole bytes with two top bits clear, so each i, and each
-    i < j, is one guarded subtraction of shifted copies, whose cleared guard
-    bits in the fields A without i (and j) are the failures.  An axiom's
+    """:func:`validate_rank_function`'s check.  rho - min(rho) is one
+    :func:`_pack` int with two top bits of each field clear, so each i, and
+    each i < j, is one guarded subtraction of shifted copies, whose cleared
+    guard bits in the fields A without i (and j) are the failures.  An axiom's
     failures are ORed into one int, and sought again only for a witness."""
     vals, n = rho.values, rho.n
     if vals[0] != 0:
         return Verdict(False, ("empty",))
     low = min(vals)
     width = ((max(vals) - low).bit_length() + 9) // 8
-    data = bytearray(width << n)
-    for k in range(width):
-        data[k::width] = bytes((v - low) >> 8 * k & 255 for v in vals)
-    g = int.from_bytes(data, "little")
+    g = _pack(vals, width, -low)
     for kind in ("monotone", "submodular"):
         if fails := reduce(or_, map(itemgetter(2), _rank_failures(g, n, width, kind)), 0):
             top = (fails & -fails).bit_length() - 1  # the least failing field's guard bit
@@ -564,7 +579,7 @@ def _rank_failures(g: int, n: int, width: int, kind: str) -> Iterator[tuple[int,
             yield 1 << i, 1 << j, ~(((up + (g >> s)) | guard) - g - (up >> s)) & a & b
 
 
-@lru_cache(maxsize=8)  # by (n, width); validating a few dozen base sets at n <= 6 reads 3
+@lru_cache(maxsize=8)  # by (n, width); an exchange set-up and round, sampling included, reads 6
 def _field_guards(n: int, width: int) -> tuple[int, list, list]:
     """(guard, outs, pairs) on 2^n fields of width bytes: the top bit of every
     field; for each i, the shift that moves field A + i to A and the top bits
@@ -589,40 +604,31 @@ def rank_table_fits(n: int, count: int) -> bool:
 
 
 def _residual(r: tuple, n: int) -> tuple[int, int, int]:
-    """(table, bias, bits): r on [n] as one int, r(A) + bias under a guard bit
-    in the field of bits bits at rev(A), the bits of A reversed, so g(B) is
-    the low half and g(B + next) the high half.  A residual g(A) is the least
-    r(A + S) - x(S) over the masks S of a prefix x with x(S) <= r(S), and
-    g(A + next) - v, for v <= g(next), one of x extended by v; both are at
+    """(table, bias, bits): r on [n] as one :func:`_pack` int, r(A) + bias in
+    field A of bits bits under a guard bit, so with next the top mask bit g(B)
+    is the low half and g(B + next) the high half.  A residual g(A) is the
+    least r(A + S) - x(S) over the masks S of a prefix x with x(S) <= r(S),
+    and g(A + next) - v, for v <= g(next), one of x extended by v; both are at
     least min(r) - max(r, 0), which the bias max(r, 0) - min(r, 0) offsets."""
-    bias = max(*r, 0) - min(*r, 0)
-    bits = (max(*r, 0) + bias).bit_length() + 1
-    shifts, ones = _reversed_fields(n, bits)
-    return sum(map(lshift, r, shifts)) + bias * ones, bias, bits
+    top, low = max(*r, 0), min(*r, 0)
+    width = (2 * top - low).bit_length() // 8 + 1
+    return _pack(r, width, top - low), top - low, 8 * width
 
 
-@lru_cache(maxsize=32)  # by (n, bits), bits ~ log t; the h* of a few dozen rings at n <= 6 reads 16
-def _reversed_fields(n: int, bits: int) -> tuple[list[int], int]:
-    """(where the field at rev(A) starts for each mask A, a one in every field)."""
-    shifts = [bits * int(f"{mask:0{n}b}"[::-1], 2) for mask in range(1 << n)]
-    return shifts, ((1 << (bits << n)) - 1) // ((1 << bits) - 1)
-
-
-@lru_cache(maxsize=32)  # by counting order; the h* of a few dozen rings at n <= 6 reads 21
+@lru_cache(maxsize=32)  # by counting order; an hstar round reads 8, Borel and cube rings none
 def _relabelling(order: tuple) -> itemgetter:
-    """Reads a table on [n] in counting order: entry B of the result, bit k
-    of B for the k-th coordinate counted, is the entry at the mask of the
-    order[k] with k in B."""
+    """Reads a table on [n] so that bit k of each mask stands for coordinate
+    order[k]: entry B is the entry at the mask of the order[k] with k in B."""
     return itemgetter(*subset_sums([1 << i for i in order]))
 
 
 def _in_counting_order(values: tuple, n: int) -> tuple:
-    """values relabelled so that the coordinates come in increasing order of
-    values[{i}], ties by index; values itself when that order is 1..n."""
+    """values relabelled to be counted from the top mask bit down by increasing
+    values[{i}], ties by decreasing index; itself if values[{i}] never rises."""
     singles = [values[1 << i] for i in range(n)]
-    if singles == sorted(singles):
+    if singles == sorted(singles, reverse=True):
         return values
-    return _relabelling(tuple(sorted(range(n), key=singles.__getitem__)))(values)
+    return _relabelling(tuple(sorted(range(n), key=singles.__getitem__, reverse=True)))(values)
 
 
 def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
@@ -630,9 +636,11 @@ def count_bases(rho: RankFunction, t: int, limit: int) -> int | None:
     and |u| = t*rho([n]).
 
     Counted by contraction in counting order, the coordinates by
-    increasing rho({i}), ties by index: that leaves the widest ranges to
-    the closed form and lets more residual tables merge, and relabelling
-    the ground set leaves the count unchanged.  A state is a residual
+    increasing rho({i}), ties by decreasing index, from the top mask bit
+    down: that leaves the widest ranges to the closed form and lets more
+    residual tables merge, relabelling the ground set leaves the count
+    unchanged, and a table whose rho({i}) never increases with i is read
+    as it is.  A state is a residual
     table g on the coordinates left; its full-set entry is the mass rem
     left.  Fixing the next coordinate at v, in [max(0, rem - g(rest)),
     g(next)], the bounds u(A) <= t*rho(A) and u(A) >= t*rho([n]) -
@@ -742,9 +750,9 @@ def membership(rho: RankFunction, u: Vector) -> bool:
 
 def _points_within(values: tuple, n: int) -> frozenset:
     """All u >= 0 with u(A) <= values[A] for every nonempty mask A, listed
-    coordinate by coordinate on :func:`_residual` tables: the next takes
-    [0, g(next)], and the last builds no table.  Each level is refused past
-    the size cap before it is listed; every prefix of a monotone table
+    coordinate by coordinate, n first, on :func:`_residual` tables: the next
+    takes [0, g(next)], and the last builds no table.  Each level is refused
+    past the size cap before it is listed; every prefix of a monotone table
     extends by zeros, so it is refused iff its points pass the cap."""
     table, bias, bits = _residual(values, n)
     field, cap, level = (1 << bits - 1) - 1, max_points(), [((), table)]
@@ -763,10 +771,10 @@ def _points_within(values: tuple, n: int) -> frozenset:
             lifted = keep | guard
             for v in range(top):
                 less = (lifted - drop) & guard
-                children.append((x + (v,), keep ^ ((keep ^ drop) & (less - (less >> bits - 1)))))
+                children.append(((v,) + x, keep ^ ((keep ^ drop) & (less - (less >> bits - 1)))))
                 drop -= ones
         level = children
-    return frozenset([x + (v,) for (x, _), top in zip(level, tops) for v in range(top)])
+    return frozenset([(v,) + x for (x, _), top in zip(level, tops) for v in range(top)])
 
 
 def polymatroid_from_rank(rho: RankFunction) -> DiscretePolymatroid:
@@ -858,8 +866,7 @@ def greedy_vertex(rho: RankFunction, k: int, pi: tuple[int, ...]) -> Vector:
     if not 0 <= k <= n:
         raise ValueError(f"prefix length {k} outside [0, {n}]")
     v = [0] * n
-    mask = 0
-    prev = 0
+    mask = prev = 0
     for j in range(k):
         mask |= 1 << (pi[j] - 1)
         v[pi[j] - 1] = rho.values[mask] - prev
@@ -874,8 +881,5 @@ def vertices(rho: RankFunction) -> VectorSet:
     its lattice points.
     """
     n = rho.n
-    out = set()
-    for pi in permutations(range(1, n + 1)):
-        for k in range(n + 1):
-            out.add(greedy_vertex(rho, k, pi))
-    return VectorSet(n, frozenset(out))
+    pis = permutations(range(1, n + 1))
+    return VectorSet(n, frozenset(greedy_vertex(rho, k, pi) for pi in pis for k in range(n + 1)))

@@ -9,22 +9,12 @@ rank.
 
 from __future__ import annotations
 
-import sys
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul, or_
 from random import Random
 
 from .core import set_bits
-from .polymatroid import DiscretePolymatroid, RankFunction, polymatroid_from_rank
-
-
-@lru_cache(maxsize=None)
-def _units(n: int) -> list[int]:
-    """units[i] holds 1 in the fields of the masks holding i, a set function on
-    [n] being one int, its value at mask x in the two-byte field at x.  Values
-    drawn stay at most 12n + 1, so the top bit of a field stays clear."""
-    blocks = ((bytes(2 << i) + b"\x01\x00" * (1 << i)) * (1 << n - 1 - i) for i in range(n))
-    return [int.from_bytes(block, "little") for block in blocks]
+from .polymatroid import DiscretePolymatroid, RankFunction, _field_guards, _unpack, polymatroid_from_rank
 
 
 def _cap(table: int, cap: int, ones: int) -> int:
@@ -47,7 +37,10 @@ def random_rank_function(
     singleton gets rank at least 1, so all unit vectors belong to the
     polymatroid.
     """
-    units, ones = _units(n), (1 << (16 << n)) // 0xFFFF  # ones: a one in every field
+    # a set function on [n] is one int of two-byte fields, its values at most
+    # 12n + 1 under a clear top bit; units[i] has a one in each field holding i
+    guard, outs, _ = _field_guards(n, 2)
+    units, ones = [(guard ^ out) >> 15 for _, out in outs], guard >> 15
     full = (1 << n) - 1
     budget = max(max_rank - 1 if ensure_positive else max_rank, 1)
     acc = 0
@@ -68,7 +61,7 @@ def random_rank_function(
         acc = _cap(acc, rng.randint(1, budget), ones)
     if ensure_positive:
         acc += ones - 1
-    return RankFunction(n, tuple(memoryview(acc.to_bytes(2 << n, sys.byteorder)).cast("H")))
+    return RankFunction(n, _unpack(acc, n, 2))
 
 
 def random_polymatroid(

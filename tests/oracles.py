@@ -595,8 +595,10 @@ def count_bases_packed(rho, t, limit):
     single pass replaced: the states of each level as the library's
     ``_residual`` ints, every span listed (empty ones too) with builtin
     min/max, and the last level's five fields read by a list per state.
-    None once a level is due more than limit prefixes: the last level
-    always, an earlier one only for a rank function, as the library."""
+    ``_residual`` is handed the table at the bit-reversed masks, so that the
+    top mask bit, counted first, is coordinate 1 and 1..n are counted in
+    order.  None once a level is due more than limit prefixes: the last
+    level always, an earlier one only for a rank function, as the library."""
     from polymat.polymatroid import _residual, validate_rank_function
 
     if t < 0:
@@ -608,7 +610,7 @@ def count_bases_packed(rho, t, limit):
         return 1
     if n == 2:
         return max(0, min(total, r[1]) - max(0, total - r[2]) + 1)
-    table, bias, bits = _residual(r, n)
+    table, bias, bits = _residual(tuple(r[int(f"{mask:0{n}b}"[::-1], 2)] for mask in range(1 << n)), n)
     field = (1 << bits - 1) - 1
     states = {table: 1}
     for left in range(n - 3, -1, -1):

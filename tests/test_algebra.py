@@ -232,6 +232,29 @@ def test_hilbert_cap_bounds_the_count(monkeypatch):
     monkeypatch.setenv("POLYMAT_MAX_POINTS", "40")
     with pytest.raises(SizeCapExceeded, match="cap is 40"):
         hilbert_values(G, 3)
+    # every degree costs one unit of the cap, also where the count is a closed
+    # form (the point ring of rho = (0, 2) on [1], lifted to [2]) or the
+    # levels hold one point each: more degrees than the cap are refused
+    # before any is counted
+    import polymat.algebra as algebra
+
+    monkeypatch.setenv("POLYMAT_MAX_POINTS", "1000")
+    point_ring = ehrhart_generators(polymatroid_from_rank(RankFunction(1, (0, 2))))
+    line = graded_generators([(1,)])
+    assert point_ring.rank is not None and point_ring.rank.n == 2 and line.rank is None
+    assert hilbert_values(point_ring, 999) == [2 * t + 1 for t in range(1000)]
+    assert hilbert_values(line, 999) == [1] * 1000
+    monkeypatch.setattr(algebra, "_count_bases", _refused)
+    monkeypatch.setattr(algebra, "sum_levels", _refused)
+    for G in (point_ring, line):
+        for t_max in (1000, 10**5):
+            message = f"degree {t_max} need {t_max + 1} degrees, cap is 1000"
+            with pytest.raises(SizeCapExceeded, match=message):
+                hilbert_values(G, t_max)
+
+
+def _refused(*args):
+    raise AssertionError("a degree was counted")
 
 
 def test_hilbert_values_match_the_tuple_sumset():

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import typing
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -232,3 +234,39 @@ def test_type_hints_resolve_for_every_export():
                 typing.get_type_hints(obj)
                 checked += 1
     assert checked > 80
+
+
+def _unbounded_caches(source: str) -> list[int]:
+    """The lines of source that make a cache without a bound: functools.cache,
+    or an lru_cache that names no maxsize or a maxsize of None."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            lines += [node.lineno] if isinstance(node.value, ast.Name) and node.value.id == "functools" else []
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            bounds = (call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]) if call else []
+            if not bounds or any(isinstance(b, ast.Constant) and b.value is None for b in bounds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_library_cache_is_bounded():
+    # the check itself: each unbounded form is found, a bounded one is not
+    samples = {
+        "from functools import lru_cache\n@lru_cache\ndef f(n): pass": [2],
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(n): pass": [2],
+        "import functools\n@functools.lru_cache(None)\ndef f(n): pass": [2],
+        "import functools\n@functools.cache\ndef f(n): pass": [2],
+        "from functools import cache\n@cache\ndef f(n): pass": [1],
+        "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(n): pass": [],
+    }
+    for source, lines in samples.items():
+        assert _unbounded_caches(source) == lines, source
+    package = Path(inspect.getfile(subset_sums)).parent
+    for path in sorted(package.glob("*.py")):
+        assert _unbounded_caches(path.read_text()) == [], path.name

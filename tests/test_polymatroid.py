@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
+from math import comb
 from operator import add, and_, or_
 from random import Random
 
@@ -254,6 +255,18 @@ def test_packed_rank_table_matches_the_list_loop(instance_pool, positive_pool, s
         expected = oracles.max_subset_sums(vectors, n)
         assert polymatroid._max_subset_sums(vectors, n) == expected, (vectors, n)
         assert oracles.rank_values(vectors, n) == expected
+
+
+def test_pack_puts_field_a_at_byte_a_times_width_and_unpack_reads_it_back():
+    rng = Random(37)
+    for width in (1, 2, 3):
+        for n in (1, 3, 5):
+            values = tuple(rng.randrange(256**width) for _ in range(1 << n))
+            table = polymatroid._pack(values, width)
+            assert table == sum(v << 8 * width * a for a, v in enumerate(values)), (n, width)
+            assert polymatroid._unpack(table, n, width) == values, (n, width)
+            low = min(values)
+            assert polymatroid._pack(values, width, -low) == polymatroid._pack([v - low for v in values], width)
 
 
 def test_validate_rank_function_examples():
@@ -761,8 +774,11 @@ COUNT_ORACLES = (
 
 def in_counting_order(rho):
     """rho relabelled by the library into the order count_bases counts in,
-    the order whose prefixes its limit bounds; the oracles count 1..n."""
-    return RankFunction(rho.n, polymatroid._in_counting_order(rho.values, rho.n))
+    the order whose prefixes its limit bounds, and turned so that the first
+    coordinate counted is at bit 0, as the oracles count 1..n; the library
+    counts from the top mask bit down."""
+    counted = RankFunction(rho.n, polymatroid._in_counting_order(rho.values, rho.n))
+    return relabelled(counted, tuple(range(rho.n - 1, -1, -1)))
 
 
 def _agrees_with_the_oracles_on_the_table(rho, counted, t, got, oracles_used):
@@ -876,6 +892,20 @@ def test_count_bases_matches_the_oracles_on_wide_fields_and_large_ground_sets():
     assert sum(count_bases(rho, 2, 0) is None for rho in tables if min(rho.values) < 0) >= 15
 
 
+def test_count_bases_on_uniform_tables_of_ten_and_twelve_coordinates():
+    # rho(A) = min(|A|, 2): the bases of t*rho are the u in [0, t]^n with
+    # |u| = 2t, counted by inclusion and exclusion over the coordinates past t
+    for n in (10, 12):
+        rho = RankFunction(n, tuple(min(bin(mask).count("1"), 2) for mask in range(1 << n)))
+        for t in (1, 2, 3):
+            closed_form = sum(
+                (-1) ** j * comb(n, j) * comb(2 * t - j * (t + 1) + n - 1, n - 1)
+                for j in range(n + 1)
+                if j * (t + 1) <= 2 * t
+            )
+            assert count_bases(rho, t, 10**9) == closed_form, (n, t)
+
+
 def test_count_bases_on_three_coordinates_runs_no_contraction_level():
     # rho(A) = min(|A|, 1) with a loop at coordinate 3: the bases of t*rho are
     # the t + 1 ways to split t between coordinates 1 and 2, which are
@@ -932,10 +962,11 @@ def test_count_bases_is_the_same_under_every_relabelling(instance_pool, positive
         got = count_bases(rho, t, 10**12)
         for order in permutations(range(rho.n)):
             assert count_bases(relabelled(rho, order), t, 10**12) == got, (rho, t, order)
-        relabelled_ones += in_counting_order(rho) != rho
+        relabelled_ones += polymatroid._in_counting_order(rho.values, rho.n) is not rho.values
     assert relabelled_ones >= 200
-    # a table already in counting order is read as it is
-    for rho in (constant_rank(5, 2), rank_function(veronese((3, 3, 3), 3))):
+    # a table whose singleton ranks never increase is read as it is
+    borel = base_set(principal_borel((0, 1, 1, 2)).vectors)
+    for rho in (constant_rank(5, 2), rank_function(veronese((3, 3, 3), 3)), rank_function(borel)):
         assert polymatroid._in_counting_order(rho.values, rho.n) is rho.values
 
 
@@ -1027,25 +1058,22 @@ def test_a_refused_count_does_no_work_past_its_refusal(monkeypatch, instance_poo
 
 
 def test_cached_shifts_and_guards_stay_within_a_few_entries():
-    """count_bases keeps a list of shifts per (n, field width) and a
-    relabelling per counting order, and validate_rank_function its guard
-    masks per (n, byte width), for later calls.  A Hilbert series at n = 12
-    asks for a new width each time t doubles, and modular tables at n = 12
-    for a new order with each order of their weights; past each cache's
-    bound the least recently used entry goes, so the memory kept stays
-    within a constant number of entries, one per width or order seen up to
-    the bound."""
+    """count_bases keeps a relabelling per counting order, and
+    validate_rank_function its guard masks per (n, byte width), for later
+    calls.  Modular tables at n = 12 ask for a new order with each order of
+    their weights, and tables at n = 12 for new guards with each byte width;
+    past each cache's bound the least recently used entry goes, so the
+    memory kept stays within a constant number of entries, one per width or
+    order seen up to the bound."""
     n = 12
     free = tuple(bin(mask).count("1") for mask in range(1 << n))
     orders = [tuple(Random(seed).sample(range(n), n)) for seed in range(40)]
     assert len(set(orders)) == 40
-    caches = (polymatroid._reversed_fields, polymatroid._field_guards, polymatroid._relabelling)
+    caches = (polymatroid._field_guards, polymatroid._relabelling)
     for cache in caches:
         cache.cache_clear()
     tracemalloc.start()
     try:
-        for t in range(1, 201):
-            assert count_bases(RankFunction(n, free), t, 0) is None
         # weight k + 1 on order[k], so that order is the counting order
         for order in orders:
             weights = dict(zip(order, range(1, n + 1)))
@@ -1053,9 +1081,7 @@ def test_cached_shifts_and_guards_stay_within_a_few_entries():
             assert count_bases(RankFunction(n, tuple(modular)), 1, 0) is None
         for width in range(1, 5):
             assert validate_rank_function(RankFunction(n, tuple(v << 8 * width - 8 for v in free)))
-        # then as many widths again as each bound, up to 50 bits and 24 bytes
-        for bits in range(15, 51):
-            polymatroid._reversed_fields(n, bits)
+        # then as many widths again as the bound, up to 24 bytes
         for width in range(5, 25):
             polymatroid._field_guards(n, width)
         seen = [cache.cache_info().misses for cache in caches]
@@ -1064,22 +1090,20 @@ def test_cached_shifts_and_guards_stay_within_a_few_entries():
             before = tracemalloc.get_traced_memory()[0]
             cache.cache_clear()
             kept.append(before - tracemalloc.get_traced_memory()[0])
-        # the largest entry of each, built afresh
-        largest = []
-        for cache, width in zip(caches, (50, 24)):
-            before = tracemalloc.get_traced_memory()[0]
-            entry = cache.__wrapped__(n, width)
-            largest.append(tracemalloc.get_traced_memory()[0] - before)
-            del entry
+        # the largest guards, built afresh
+        before = tracemalloc.get_traced_memory()[0]
+        entry = caches[0].__wrapped__(n, 24)
+        largest = [tracemalloc.get_traced_memory()[0] - before]
+        del entry
         # relabellings are all of one size, each kept under a fresh order
         # tuple, so one entry is measured as the cache keeps it
         before = tracemalloc.get_traced_memory()[0]
         polymatroid._in_counting_order(modular, n)
         largest.append(tracemalloc.get_traced_memory()[0] - before)
-        caches[2].cache_clear()
+        caches[1].cache_clear()
     finally:
         tracemalloc.stop()
-    assert seen == [45, 24, 40]  # fields of 6 to 50 bits, guards of 1 to 24 bytes, 40 orders
+    assert seen == [24, 40]  # guards of 1 to 24 bytes, 40 orders
     for cache, misses, size, most in zip(caches, seen, kept, largest):
         bound = cache.cache_info().maxsize
         assert bound is not None and bound < misses, cache
